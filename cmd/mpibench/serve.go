@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/serve"
@@ -79,7 +77,7 @@ func (sv serveFlags) config(seed uint64, workers int) (suite.ServeConfig, error)
 		cfg.Server.Stalls = []serve.Stall{{At: sv.stallAt, Dur: sv.stallDur}}
 	}
 	if sv.loads != "" {
-		loads, err := parseFloats(sv.loads)
+		loads, err := suite.ParseLoads(sv.loads)
 		if err != nil {
 			return cfg, fmt.Errorf("-loads: %w", err)
 		}
@@ -100,19 +98,4 @@ func runServe(ctx context.Context, sv serveFlags, seed uint64, workers int, prog
 		return err
 	}
 	return res.WriteReport(os.Stdout)
-}
-
-func parseFloats(csv string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(csv, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		if v <= 0 || v > 2 {
-			return nil, fmt.Errorf("load fraction %g outside (0, 2]", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

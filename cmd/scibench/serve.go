@@ -8,8 +8,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -85,7 +83,7 @@ func cmdServe(args []string) error {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	if *loads != "" {
-		if cfg.Loads, err = parseLoadList(*loads); err != nil {
+		if cfg.Loads, err = suite.ParseLoads(*loads); err != nil {
 			return fmt.Errorf("-loads: %w", err)
 		}
 	}
@@ -126,19 +124,4 @@ func cmdServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "scibench: sweep recorded in %s\n", path)
 	}
 	return nil
-}
-
-func parseLoadList(csv string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(csv, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad load %q", part)
-		}
-		if v <= 0 || v > 2 {
-			return nil, fmt.Errorf("load fraction %g outside (0, 2]", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/ci"
 	"repro/internal/dist"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -252,17 +253,10 @@ func forEachShard(total, workers int, fn func(start, end int)) {
 }
 
 // streamSeeds derives the i-th resample's PCG seed pair from the two
-// base draws using the splitmix64 finalizer — a fixed function of
-// (base1, base2, i), so shard boundaries never influence the streams.
+// base draws through the bijective rng.Mix64 — a fixed function of
+// (base1, base2, i), so shard boundaries never influence the streams,
+// and distinct inputs never collide on the first seed.
 func streamSeeds(base1, base2 uint64, i int) (uint64, uint64) {
 	s := base1 + uint64(i)*0x9e3779b97f4a7c15
-	return mix64(s), mix64(s ^ base2)
-}
-
-// mix64 is the splitmix64 output function (Steele et al.), a strong
-// bijective mixer.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4b91e
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(s), rng.Mix64(s ^ base2)
 }

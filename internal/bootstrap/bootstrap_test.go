@@ -231,3 +231,15 @@ func TestDifferenceCIWorkerCountInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamSeedsInjective pins the resample seed derivation to a
+// bijective mixer. A splitmix-style finalizer with an even multiplier
+// maps 0x1 and 0x8000000200000009 to the same value, which would hand
+// two resamples of different calls the same PCG stream.
+func TestStreamSeedsInjective(t *testing.T) {
+	a1, a2 := streamSeeds(0x1, 0, 0)
+	b1, b2 := streamSeeds(0x8000000200000009, 0, 0)
+	if a1 == b1 || a2 == b2 {
+		t.Errorf("distinct bases collide: (%#x, %#x) vs (%#x, %#x)", a1, a2, b1, b2)
+	}
+}

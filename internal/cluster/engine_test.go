@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/stats"
 )
 
 // noisyFaultCfg returns a noisy system plus a fault schedule, the
@@ -116,7 +117,7 @@ func TestRingCollectivesBatchInvariance(t *testing.T) {
 // TestSummaryBoundary pins the exact/summary switch: identical seeds
 // must produce bit-identical Max/Root whichever way the result is
 // packaged, auto mode must match forced per-rank below the threshold
-// bit-for-bit, and the sketch must describe all P ranks.
+// bit-for-bit, and the histogram must describe all P ranks.
 func TestSummaryBoundary(t *testing.T) {
 	const p = 600
 	const seed = 7
@@ -133,20 +134,20 @@ func TestSummaryBoundary(t *testing.T) {
 	autoAbove := build(ModeAuto, p).Allreduce(64, nil)
 
 	if len(exact.PerRank) != p || exact.Summary != nil {
-		t.Fatal("ModePerRank must materialize PerRank and no sketch")
+		t.Fatal("ModePerRank must materialize PerRank and no histogram")
 	}
 	if summary.PerRank != nil || summary.Summary == nil {
-		t.Fatal("ModeSummary must return a sketch and no PerRank")
+		t.Fatal("ModeSummary must return a histogram and no PerRank")
 	}
 	if summary.Summary.Count() != uint64(p) {
-		t.Errorf("sketch count = %d, want %d", summary.Summary.Count(), p)
+		t.Errorf("histogram count = %d, want %d", summary.Summary.Count(), p)
 	}
 	if summary.Max() != exact.Max() || summary.Root != exact.Root || summary.Ranks != exact.Ranks {
 		t.Errorf("summary (max %v root %v) != exact (max %v root %v)",
 			summary.Max(), summary.Root, exact.Max(), exact.Root)
 	}
 	if got, want := summary.Summary.Max(), exact.Max().Seconds(); got != want {
-		t.Errorf("sketch max %g != exact max %g", got, want)
+		t.Errorf("histogram max %g != exact max %g", got, want)
 	}
 	// Below the threshold, auto is bit-identical to forced per-rank.
 	if len(autoBelow.PerRank) != p {
@@ -165,10 +166,38 @@ func TestSummaryBoundary(t *testing.T) {
 	if autoAbove.Max() != exact.Max() {
 		t.Errorf("auto summary max %v != exact %v", autoAbove.Max(), exact.Max())
 	}
-	// The sketch quantiles must be bracketed by the exact extremes.
+	// The histogram quantiles must be bracketed by the exact extremes.
 	med := autoAbove.Summary.Quantile(0.5)
 	if med < autoAbove.Summary.Min() || med > autoAbove.Summary.Max() {
-		t.Errorf("sketch median %g outside [min,max]", med)
+		t.Errorf("histogram median %g outside [min,max]", med)
+	}
+}
+
+// TestSummaryHistogramMatchesExact pins summary mode to exact mode at
+// scale: a noisy P=2^16 collective's summary histogram must equal, count
+// for count, the histogram of the exact-mode per-rank times of the same
+// seed — summary mode loses only the bucket quantization, never a rank.
+func TestSummaryHistogramMatchesExact(t *testing.T) {
+	const p = 1 << 16
+	const seed = 11
+	run := func(mode ResultMode) CollectiveResult {
+		cfg := noisyFaultCfg()
+		cfg.Nodes = 1 << 17 // the preset's core count caps P below 2^16
+		cfg.ResultMode = mode
+		return mustNew(t, cfg, p, seed).Allreduce(64, nil)
+	}
+	exact, summary := run(ModePerRank), run(ModeSummary)
+	if summary.Summary == nil || len(exact.PerRank) != p {
+		t.Fatal("want a summary histogram and exact per-rank times")
+	}
+	var want stats.LogHistogram
+	for _, d := range exact.PerRank {
+		want.Record(d.Seconds())
+	}
+	if *summary.Summary != want {
+		t.Errorf("summary histogram (n=%d, median %g, max %g) != exact-mode histogram (n=%d, median %g, max %g)",
+			summary.Summary.Count(), summary.Summary.Quantile(0.5), summary.Summary.Max(),
+			want.Count(), want.Quantile(0.5), want.Max())
 	}
 }
 

@@ -259,7 +259,7 @@ func TestMillionRankSummarySmoke(t *testing.T) {
 		t.Fatal("summary mode must not materialize PerRank")
 	}
 	if res.Summary == nil || res.Summary.Count() != p {
-		t.Fatalf("sketch must cover all %d ranks", p)
+		t.Fatalf("histogram must cover all %d ranks", p)
 	}
 	if res.Ranks != p {
 		t.Errorf("Ranks = %d, want %d", res.Ranks, p)

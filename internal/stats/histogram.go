@@ -5,11 +5,12 @@ import "math"
 // LogHistogram is an HDR-style log-bucketed latency histogram: values are
 // binned by binary exponent with histSubBuckets linear sub-buckets per
 // octave, giving a bounded relative error of 1/histSubBuckets (≈1.6%)
-// across the whole range. It complements QuantileSketch: the sketch
-// tracks a fixed set of quantiles in O(1) memory, while the histogram
-// supports arbitrary-rank queries after the fact — which is what the
-// nonparametric rank-based confidence intervals of internal/ci need for
-// tail percentiles (p99, p999) of service workloads.
+// across the whole range. It is the repo's one streaming-quantile
+// structure: it summarizes per-rank times of summary-mode collectives,
+// request latencies of service workloads, and the harness's own
+// telemetry histograms. It supports arbitrary-rank queries after the
+// fact — which is what the nonparametric rank-based confidence
+// intervals of internal/ci need for tail percentiles (p99, p999).
 //
 // The geometry is fixed for the whole package (histMinExp..histMaxExp
 // octaves), so any two Histograms are mergeable by element-wise count

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,6 +55,25 @@ type ServeConfig struct {
 	Workers int
 	// MaxRequests caps each epoch (0 = serve.DefaultMaxRequests).
 	MaxRequests int
+}
+
+// ParseLoads parses a comma-separated list of offered-load fractions
+// for ServeConfig.Loads, such as "0.2,0.6,0.9" — the -loads flag of
+// both CLIs. Each fraction must lie in (0, 2]; values above 1 overload
+// the server on purpose.
+func ParseLoads(csv string) ([]float64, error) {
+	var out []float64
+	for _, part := range strings.Split(csv, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad load %q", part)
+		}
+		if v <= 0 || v > 2 {
+			return nil, fmt.Errorf("load fraction %g outside (0, 2]", v)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 func (c ServeConfig) withDefaults() ServeConfig {

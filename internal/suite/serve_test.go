@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -133,5 +134,35 @@ func TestServeCapacity(t *testing.T) {
 	want := 32.0 / 0.014
 	if diff := got - want; diff > 1 || diff < -1 {
 		t.Fatalf("capacity %.1f, want %.1f", got, want)
+	}
+}
+
+func TestParseLoads(t *testing.T) {
+	for _, c := range []struct {
+		in      string
+		want    []float64
+		wantErr string
+	}{
+		{in: "0.5", want: []float64{0.5}},
+		{in: "0.2,0.6,0.9", want: []float64{0.2, 0.6, 0.9}},
+		{in: " 0.1 , 1.5,2 ", want: []float64{0.1, 1.5, 2}},
+		{in: "0.2,x", wantErr: `bad load "x"`},
+		{in: "", wantErr: `bad load ""`},
+		{in: "0.2,,0.4", wantErr: `bad load ""`},
+		{in: "0", wantErr: "outside (0, 2]"},
+		{in: "-0.3", wantErr: "outside (0, 2]"},
+		{in: "2.01", wantErr: "outside (0, 2]"},
+		{in: "50", wantErr: "outside (0, 2]"},
+	} {
+		got, err := ParseLoads(c.in)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("ParseLoads(%q) = %v, %v; want error containing %q", c.in, got, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("ParseLoads(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
 	}
 }

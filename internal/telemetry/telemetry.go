@@ -27,10 +27,6 @@ import (
 	"repro/internal/stats"
 )
 
-// histWindow bounds the recent-value window a histogram keeps for
-// quantile snapshots; the Welford moments cover the full stream.
-const histWindow = 512
-
 // Counter is a monotonically increasing event count. All methods are
 // safe for concurrent use and lock-free.
 type Counter struct {
@@ -64,42 +60,41 @@ func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram is a streaming distribution summary: single-pass Welford
-// moments over the full stream (the paper's own §3.1.2 machinery) plus a
-// bounded window of recent observations from which snapshot quantiles
-// are computed through stats.Sample. Observe takes one short mutex; no
-// allocation after the window fills.
+// Histogram is a streaming distribution summary over the full stream:
+// single-pass Welford moments (the paper's own §3.1.2 machinery) plus a
+// stats.LogHistogram from which snapshot quantiles are read with ≤1/64
+// relative error. Observe takes one short mutex and never allocates.
 type Histogram struct {
-	mu   sync.Mutex
-	w    stats.Welford
-	ring []float64
-	next int
-	smp  stats.Sample // scratch for Snapshot; reused to stay allocation-lean
+	mu sync.Mutex
+	w  stats.Welford
+	q  stats.LogHistogram // records x·histScale
 }
+
+// histScale maps observations into the LogHistogram's fixed geometry.
+// That geometry is sized for seconds (≈0.5 ns to 1024 s) and clamps
+// larger values into its last bucket, but telemetry histograms record
+// microseconds and small counts: unscaled, a 5 ms config would read as
+// ≈1020. Scaling by 1e-6 covers ≈2.3e-4 to ≈1e9 in the recorded unit;
+// Snapshot divides the scale back out.
+const histScale = 1e-6
 
 // Observe records one value.
 func (h *Histogram) Observe(x float64) {
 	h.mu.Lock()
 	h.w.Add(x)
-	if len(h.ring) < histWindow {
-		h.ring = append(h.ring, x)
-	} else {
-		h.ring[h.next] = x
-		h.next = (h.next + 1) % histWindow
-	}
+	h.q.Record(x * histScale)
 	h.mu.Unlock()
 }
 
-// HistogramSnapshot is a point-in-time summary of a histogram: Count,
-// Mean, StdDev, Min, and Max describe every observation ever made; the
-// quantiles describe the most recent Window observations.
+// HistogramSnapshot is a point-in-time summary of every observation a
+// histogram has seen. Count, Mean, StdDev, Min, and Max are exact; the
+// quantiles carry at most 1/64 relative error.
 type HistogramSnapshot struct {
 	Count  int     `json:"count"`
 	Mean   float64 `json:"mean"`
 	StdDev float64 `json:"stddev"`
 	Min    float64 `json:"min"`
 	Max    float64 `json:"max"`
-	Window int     `json:"window"`
 	P50    float64 `json:"p50"`
 	P90    float64 `json:"p90"`
 	P99    float64 `json:"p99"`
@@ -111,17 +106,15 @@ type HistogramSnapshot struct {
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.smp.Reset(h.ring)
 	return HistogramSnapshot{
 		Count:  h.w.N(),
 		Mean:   nz(h.w.Mean()),
 		StdDev: nz(h.w.StdDev()),
 		Min:    nz(h.w.Min()),
 		Max:    nz(h.w.Max()),
-		Window: len(h.ring),
-		P50:    nz(h.smp.Quantile(0.5)),
-		P90:    nz(h.smp.Quantile(0.9)),
-		P99:    nz(h.smp.Quantile(0.99)),
+		P50:    nz(h.q.Quantile(0.5) / histScale),
+		P90:    nz(h.q.Quantile(0.9) / histScale),
+		P99:    nz(h.q.Quantile(0.99) / histScale),
 	}
 }
 

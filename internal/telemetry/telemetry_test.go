@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -39,8 +41,8 @@ func TestHistogramSnapshot(t *testing.T) {
 		h.Observe(float64(i))
 	}
 	s := h.Snapshot()
-	if s.Count != 100 || s.Window != 100 {
-		t.Fatalf("count=%d window=%d, want 100/100", s.Count, s.Window)
+	if s.Count != 100 {
+		t.Fatalf("count=%d, want 100", s.Count)
 	}
 	if s.Mean != 50.5 || s.Min != 1 || s.Max != 100 {
 		t.Errorf("mean=%g min=%g max=%g", s.Mean, s.Min, s.Max)
@@ -50,25 +52,32 @@ func TestHistogramSnapshot(t *testing.T) {
 	}
 }
 
-func TestHistogramWindowBounded(t *testing.T) {
+// TestHistogramWholeStreamQuantiles pins snapshot quantiles to the whole
+// stream: 10,000 observations from 10 s down to 1 µs (in microseconds,
+// the unit the harness records), the large ones first, so a recent-value
+// window would see only the smallest. Each quantile must be within 1/64
+// relative of the exact nearest-rank value.
+func TestHistogramWholeStreamQuantiles(t *testing.T) {
+	const n = 10000
 	h := &Histogram{}
-	for i := 0; i < 3*histWindow; i++ {
-		h.Observe(float64(i))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = 1e7 * math.Pow(10, -7*float64(i)/(n-1)) // 10 s … 1 µs
+		h.Observe(xs[i])
 	}
 	s := h.Snapshot()
-	if s.Count != 3*histWindow {
-		t.Errorf("count = %d, want %d", s.Count, 3*histWindow)
+	if s.Count != n || s.Min != xs[n-1] || s.Max != xs[0] {
+		t.Fatalf("count=%d min=%g max=%g, want %d/%g/%g", s.Count, s.Min, s.Max, n, xs[n-1], xs[0])
 	}
-	if s.Window != histWindow {
-		t.Errorf("window = %d, want %d", s.Window, histWindow)
-	}
-	// Quantiles come from the most recent window only.
-	if s.P50 < float64(2*histWindow) {
-		t.Errorf("p50 = %g predates the recent window", s.P50)
-	}
-	// Moments cover the full stream.
-	if s.Min != 0 {
-		t.Errorf("min = %g, want 0 (full stream)", s.Min)
+	sort.Float64s(xs)
+	for _, c := range []struct {
+		p   float64
+		got float64
+	}{{0.5, s.P50}, {0.9, s.P90}, {0.99, s.P99}} {
+		want := xs[int(math.Ceil(c.p*n))-1] // nearest rank
+		if rel := math.Abs(c.got-want) / want; rel > 1.0/64 {
+			t.Errorf("p%g = %g, exact %g (relative error %.3g > 1/64)", 100*c.p, c.got, want, rel)
+		}
 	}
 }
 

@@ -47,8 +47,8 @@ import (
 	"repro/internal/remote"
 	"repro/internal/report"
 	"repro/internal/rules"
-	"repro/internal/shard"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/suite"
 	"repro/internal/telemetry"
@@ -566,9 +566,6 @@ type (
 	// CollectiveResultMode selects exact per-rank vs fixed-size summary
 	// collective results (ClusterConfig.ResultMode).
 	CollectiveResultMode = cluster.ResultMode
-	// CollectiveSummary is the streaming quantile sketch a summary-mode
-	// Collective carries instead of O(P) per-rank times.
-	CollectiveSummary = stats.QuantileSketch
 )
 
 // Collective result modes: auto switches to summaries at
@@ -660,8 +657,9 @@ type (
 	// quantiles, rank-based CIs, and the detected latency knee.
 	ServeSweepResult = suite.ServeResult
 	// LogHistogram is the mergeable log-bucketed latency histogram
-	// behind the serve workload's tail percentiles: 0 allocs per
-	// Record, relative quantization error ≤ 1/64.
+	// behind the serve workload's tail percentiles and a summary-mode
+	// Collective's per-rank times: 0 allocs per Record, relative
+	// quantization error ≤ 1/64.
 	LogHistogram = stats.LogHistogram
 )
 
