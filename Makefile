@@ -2,7 +2,8 @@ GO ?= go
 
 .PHONY: all build test vet race check bench bench-smoke bench-json benchgate \
 	coverage coverage-check figures telemetry-smoke durability journalcheck \
-	shardcheck remotecheck scalecheck loadcheck fuzzcheck profile-cluster
+	shardcheck remotecheck scalecheck loadcheck fuzzcheck profile-cluster \
+	perfbench-check
 
 all: check
 
@@ -25,20 +26,23 @@ telemetry-smoke:
 	$(GO) test -run TestTelemetrySmoke -count=1 ./internal/telemetry
 
 # durability runs the crash-simulation tests for the campaign journal's
-# write-ahead manifest protocol (fsync ordering, failed-seal refusal).
+# write-ahead manifest protocol (fsync ordering, failed-seal refusal)
+# and the durable publish sequence the CLI's config.json and
+# merged.json go through.
 durability:
-	$(GO) test -run 'TestCreateManifest' -count=1 ./internal/campaign
+	$(GO) test -run 'TestCreateManifest|TestPublishFile' -count=1 ./internal/campaign
 
-# journalcheck drives the journal encodings' crash story: torn-tail and
-# bit-flip recovery at every offset for both formats, failed-append
-# rewind, v1↔v2 conversion with replay verification, in-process and
-# real-process (SIGKILL) resumes proving v1 and v2 reports
-# byte-identical. (Fuzzing of the v2 decoder lives in `fuzzcheck`.)
+# journalcheck drives the journal's crash story: torn-tail and bit-flip
+# recovery at every offset (v2, and the read-only v1 reader), failed-
+# append rewind, v1 refusal on open and v1→v2 conversion with replay
+# verification, in-process and real-process (SIGKILL) resumes, and the
+# committed v1 fixtures a v1-writing binary left behind. (Fuzzing of
+# the decoders lives in `fuzzcheck`.)
 journalcheck:
-	$(GO) test -run 'TestJournal|TestConvertJournal|TestRunResumeBitIdenticalAcrossFormats|TestReplay' \
+	$(GO) test -run 'TestJournal|TestOpenJournal|TestConvertJournal|TestRunResumeBitIdenticalAcrossFormats|TestReplay' \
 		-count=1 ./internal/campaign
 	$(GO) test -run 'TestBinaryTrace|TestTracerBinarySink' -count=1 ./internal/telemetry
-	$(GO) test -run 'TestCampaignV2SIGKILLResumeByteIdentity|TestShardedCampaignV2ByteIdentity' \
+	$(GO) test -run 'TestCampaignWritesV2Journal|TestCampaignV2SIGKILLResumeByteIdentity|TestShardedCampaignV2ByteIdentity|TestV1CampaignFixtureCompat' \
 		-count=1 ./cmd/scibench
 
 # shardcheck drives the distributed-execution stack with real executor
@@ -182,3 +186,9 @@ coverage-check: coverage
 
 figures:
 	$(GO) run ./cmd/figures all -quick
+
+# perfbench-check builds, vets and short-tests the end-to-end benchmark
+# harness, a separate module under perfbench/ that imports the internal
+# packages: an API change that breaks the benchmark fails here.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...

@@ -1,10 +1,10 @@
-// Journal format conversion: the `scibench convert` subcommand
-// rewrites a campaign's journal between the v1 JSONL and v2 chunked
-// binary encodings. The conversion is atomic (temp file + rename),
-// verified by re-replaying the rewritten journal record-for-record
-// against the original, and identity-preserving: the campaign resumes
-// bit-for-bit afterwards, because the format is storage, not part of
-// the recorded experiment.
+// Journal upgrade: the `scibench convert` subcommand rewrites a
+// campaign's read-only v1 JSONL journal in the v2 chunked binary
+// encoding, so the campaign can resume. The conversion is atomic (temp
+// file + rename), verified by re-replaying the rewritten journal
+// record-for-record against the original, and identity-preserving: the
+// campaign resumes bit-for-bit afterwards, because the format is
+// storage, not part of the recorded experiment.
 package main
 
 import (
@@ -16,20 +16,14 @@ import (
 
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	to := fs.String("to", "v2", "target journal encoding: v1|jsonl or v2|binary")
-	flushEvery := fs.Int("flush-every", 0, "v2 chunk width in records (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	dir := fs.Arg(0)
 	if dir == "" {
-		return fmt.Errorf("usage: scibench convert [-to v2] <campaign-dir>")
+		return fmt.Errorf("usage: scibench convert <campaign-dir>")
 	}
-	format, err := scibench.ParseJournalFormat(*to)
-	if err != nil {
-		return fmt.Errorf("-to: %w", err)
-	}
-	info, err := scibench.ConvertCampaignJournal(dir, format, *flushEvery)
+	info, err := scibench.ConvertCampaignJournal(dir)
 	if err != nil {
 		return err
 	}

@@ -27,11 +27,13 @@
 //
 //	scibench campaign -dir DIR [-system daint] [-samples 200] [-relerr 0.02]
 //	          [-seed 1] [-faults ...] [-throttle 0] [-budget 0]
-//	    Run a durable, journaled measurement campaign: every observation
-//	    is checksummed and fsynced before the next one runs. Ctrl-C,
-//	    SIGTERM, or an elapsed -budget checkpoints cleanly (exit 3) and
-//	    the campaign resumes later — bit-for-bit, the setup being pinned
-//	    in the campaign manifest (Rule 9).
+//	    Run a durable, journaled measurement campaign: observations are
+//	    checksummed and fsynced in 64-record chunks (the v2 binary
+//	    journal); a crash loses at most the unsealed chunk, which resume
+//	    re-measures deterministically. Ctrl-C, SIGTERM, or an elapsed
+//	    -budget checkpoints cleanly (exit 3) and the campaign resumes
+//	    later — bit-for-bit, the setup being pinned in the campaign
+//	    manifest (Rule 9).
 //
 //	scibench resume [flags] DIR
 //	    Continue an interrupted campaign exactly where it stopped: verify
@@ -41,15 +43,13 @@
 //	    to completion. Flags override the recorded setup — which refuses
 //	    the resume unless they match.
 //
-//	scibench convert [-to v2|v1] [-flush-every N] DIR
-//	    Rewrite a campaign's journal between the v1 JSONL encoding (one
-//	    CRC-framed JSON line per event) and the v2 chunked binary
-//	    encoding (delta-encoded columns, CRC per chunk — several times
-//	    smaller). Atomic, verified by record-for-record replay, and
-//	    identity-preserving: the campaign resumes bit-for-bit after
-//	    conversion. Both campaign and resume also accept
-//	    -journal-format v2 to write the binary encoding directly (with
-//	    group fsync every chunk instead of per record).
+//	scibench convert DIR
+//	    Upgrade a campaign's read-only v1 JSONL journal (one CRC-framed
+//	    JSON line per event) to the v2 chunked binary encoding
+//	    (delta-encoded columns, CRC per chunk — several times smaller).
+//	    Atomic, verified by record-for-record replay, and
+//	    identity-preserving: resume refuses a v1 journal and continues
+//	    it bit-for-bit once converted.
 //
 //	scibench campaign -dir DIR -shards N [-units K] [campaign flags]
 //	    Distributed mode: partition a K-unit sweep (unit i = the campaign

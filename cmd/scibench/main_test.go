@@ -38,10 +38,11 @@ func TestMain(m *testing.M) {
 
 // campaignArgs is the one fixed configuration every stage of the
 // integration test shares; any drift between stages would (correctly)
-// be refused.
+// be refused. The sample budget spans several 64-record journal chunks,
+// so a chunk seals well before collection ends.
 func campaignArgs(dir string) []string {
-	return []string{"-system", "daint", "-samples", "60", "-relerr", "0.0001",
-		"-seed", "11", "-throttle", "25ms", "-dir", dir}
+	return []string{"-system", "daint", "-samples", "150", "-relerr", "0.0001",
+		"-seed", "11", "-throttle", "10ms", "-dir", dir}
 }
 
 // resultLine extracts the final "result: ..." analysis line.
@@ -92,8 +93,8 @@ func TestCampaignInterruptResume(t *testing.T) {
 	journal := filepath.Join(camp, "journal.jsonl")
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if fi, err := os.Stat(journal); err == nil && fi.Size() > 300 {
-			break // several records are durable; interrupt mid-flight
+		if fi, err := os.Stat(journal); err == nil && fi.Size() > 8 {
+			break // a chunk past the 8-byte header is durable; interrupt mid-flight
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
@@ -144,12 +145,13 @@ func TestCampaignInterruptResume(t *testing.T) {
 	}
 
 	// Stage 3: simulate a crash mid-append on top of the checkpoint —
-	// a torn, newline-less half record at the tail.
+	// a torn chunk at the tail, whose length prefix promises 64 payload
+	// bytes of which only three landed.
 	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"crc":1,"rec":{"seq":`); err != nil {
+	if _, err := f.Write([]byte{64, 1, 64, 0}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

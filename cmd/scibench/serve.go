@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/serve"
 	"repro/internal/suite"
 )
@@ -109,16 +111,12 @@ func cmdServe(args []string) error {
 		if err := os.MkdirAll(*dir, 0o777); err != nil {
 			return err
 		}
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf); err != nil {
+			return err
+		}
 		path := filepath.Join(*dir, "merged.json")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := campaign.PublishFile(path, buf.Bytes()); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "scibench: sweep recorded in %s\n", path)

@@ -48,14 +48,8 @@ func shardUnits(cc campaignConfig, k int) ([]scibench.ShardUnit, error) {
 }
 
 // buildShardSweep validates the configuration once (the same checks an
-// executor will re-run) and assembles the sweep manifest. journal names
-// the unit journal encoding every executor attempt will use ("" keeps
-// v1); it is recorded in the sweep outside the sweep hash — storage,
-// not experiment identity.
-func buildShardSweep(name string, cc campaignConfig, journal string, units, shards int) (scibench.ShardSweep, error) {
-	if _, err := scibench.ParseJournalFormat(journal); err != nil {
-		return scibench.ShardSweep{}, fmt.Errorf("-journal-format: %w", err)
-	}
+// executor will re-run) and assembles the sweep manifest.
+func buildShardSweep(name string, cc campaignConfig, units, shards int) (scibench.ShardSweep, error) {
 	if _, _, _, err := campaignSetupNamed(name, cc); err != nil {
 		return scibench.ShardSweep{}, err
 	}
@@ -71,12 +65,7 @@ func buildShardSweep(name string, cc campaignConfig, journal string, units, shar
 	if err != nil {
 		return scibench.ShardSweep{}, err
 	}
-	sw, err := scibench.NewShardSweep(name, us, faultFP, campaignEnv(cc), shards)
-	if err != nil {
-		return scibench.ShardSweep{}, err
-	}
-	sw.Journal = journal
-	return sw, nil
+	return scibench.NewShardSweep(name, us, faultFP, campaignEnv(cc), shards)
 }
 
 // cliRunner rebuilds a unit's journaled campaign from the recorded
@@ -97,14 +86,14 @@ func cmdShard(args []string) error {
 	dir := fs.String("dir", "", "sweep directory (required)")
 	shards := fs.Int("shards", 2, "number of shards (executor processes)")
 	units := fs.Int("units", 8, "sweep units: independent replications with consecutive seeds")
-	cc, _, _, _, jfmt := campaignFlags(fs)
+	cc, _, _, _ := campaignFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dir == "" {
 		return fmt.Errorf("-dir is required")
 	}
-	sw, err := buildShardSweep(filepath.Base(*dir), *cc, *jfmt, *units, *shards)
+	sw, err := buildShardSweep(filepath.Base(*dir), *cc, *units, *shards)
 	if err != nil {
 		return err
 	}
@@ -176,9 +165,9 @@ func cmdMerge(args []string) error {
 // `scibench exec`), and merge. Executor crashes and stalls are detected
 // by heartbeat and the shard reassigned; a shard that exhausts its
 // retries is reported lost, degrading — never corrupting — the merge.
-func runShardedCampaign(dir string, cc campaignConfig, journal string, units, shards int, timeout time.Duration) error {
+func runShardedCampaign(dir string, cc campaignConfig, units, shards int, timeout time.Duration) error {
 	if _, err := scibench.LoadShardSweep(dir); err != nil {
-		sw, err := buildShardSweep(filepath.Base(dir), cc, journal, units, shards)
+		sw, err := buildShardSweep(filepath.Base(dir), cc, units, shards)
 		if err != nil {
 			return err
 		}

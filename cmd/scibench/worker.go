@@ -87,10 +87,10 @@ func cmdWorker(args []string) error {
 // stall, or partition mid-shard are fenced and their shards reassigned
 // to other registered workers, resuming from the shipped journals;
 // per-worker Rule 9 host fingerprints land in the merge.
-func runRemoteCampaign(dir string, cc campaignConfig, journal string, units, shards int,
+func runRemoteCampaign(dir string, cc campaignConfig, units, shards int,
 	timeout time.Duration, listen string, minWorkers int) error {
 	if _, err := scibench.LoadShardSweep(dir); err != nil {
-		sw, err := buildShardSweep(filepath.Base(dir), cc, journal, units, shards)
+		sw, err := buildShardSweep(filepath.Base(dir), cc, units, shards)
 		if err != nil {
 			return err
 		}

@@ -96,31 +96,17 @@ func TestCreateLoadOpenRoundtrip(t *testing.T) {
 	}
 }
 
-// TestReplayTornAtEveryOffset truncates a valid journal at every byte
-// offset and requires replay to recover exactly the records whose lines
-// survived intact — never a partial record, never a panic.
+// TestReplayTornAtEveryOffset truncates a valid v1 journal at every
+// byte offset and requires replay to recover exactly the records whose
+// lines survived intact — never a partial record, never a panic. (The
+// v2 counterpart is TestJournalV2TornAtEveryOffset.)
 func TestReplayTornAtEveryOffset(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Create(dir, testManifest(t, 1, testConfig{}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var data []byte
 	var ends []int64 // cumulative byte length after each record
-	path := filepath.Join(dir, JournalFile)
 	for i := 1; i <= 5; i++ {
-		if err := j.Record(bench.Event{Kind: bench.EventSample, Value: float64(i) / 3, Calls: i}); err != nil {
-			t.Fatal(err)
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ends = append(ends, fi.Size())
-	}
-	j.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+		ev := bench.Event{Kind: bench.EventSample, Value: float64(i) / 3, Calls: i}
+		data = append(data, encodeV1(t, []Record{{Seq: i, Event: ev}})...)
+		ends = append(ends, int64(len(data)))
 	}
 
 	for cut := 0; cut <= len(data); cut++ {

@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // Chunk is one contiguous span of a campaign file, read for shipment:
@@ -87,11 +86,6 @@ func ReadFileChunk(path string, off int64, max int) (Chunk, error) {
 		Size: size,
 		EOF:  off+n >= size,
 	}, nil
-}
-
-// ReadJournalChunk reads a chunk of the campaign journal in dir.
-func ReadJournalChunk(dir string, off int64, max int) (Chunk, error) {
-	return ReadFileChunk(filepath.Join(dir, JournalFile), off, max)
 }
 
 // ValidPrefix replays journal bytes and reports how many leading bytes

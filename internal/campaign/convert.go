@@ -1,9 +1,7 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 
 	"repro/internal/colenc"
@@ -12,8 +10,8 @@ import (
 // ConvertInfo summarizes a journal format conversion.
 type ConvertInfo struct {
 	// From and To are the source and target formats (From is the
-	// sniffed format, or the target itself when the journal was already
-	// in it and nothing was rewritten).
+	// sniffed format, or v2 itself when the journal was already v2 and
+	// nothing was rewritten).
 	From, To Format
 	// Records is the number of records carried across.
 	Records int
@@ -22,59 +20,29 @@ type ConvertInfo struct {
 	OldBytes, NewBytes int64
 }
 
-// encodeJournal serializes records in the given format, from scratch —
-// the exact bytes a fresh journal writing these records would hold
-// (v2: full chunks of flushEvery records, then one final short chunk).
-func encodeJournal(recs []Record, format Format, flushEvery int) ([]byte, error) {
-	if flushEvery <= 0 {
-		flushEvery = DefaultFlushEvery
+// encodeJournal serializes records as a v2 journal from scratch: the
+// exact bytes a fresh journal writing these records would hold (full
+// chunks of DefaultFlushEvery records, then one final short chunk).
+func encodeJournal(recs []Record) []byte {
+	out := append([]byte(nil), magicV2...)
+	for len(recs) > 0 {
+		n := min(DefaultFlushEvery, len(recs))
+		out = colenc.AppendFrame(out, appendChunkV2(nil, recs[:n]))
+		recs = recs[n:]
 	}
-	switch format {
-	case FormatJSONL:
-		var out []byte
-		for _, r := range recs {
-			rb, err := json.Marshal(r)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: encoding record %d: %w", r.Seq, err)
-			}
-			lb, err := json.Marshal(frame{CRC: crc32.ChecksumIEEE(rb), Rec: rb})
-			if err != nil {
-				return nil, fmt.Errorf("campaign: framing record %d: %w", r.Seq, err)
-			}
-			out = append(out, lb...)
-			out = append(out, '\n')
-		}
-		return out, nil
-	case FormatV2:
-		out := append([]byte(nil), magicV2...)
-		for len(recs) > 0 {
-			n := flushEvery
-			if n > len(recs) {
-				n = len(recs)
-			}
-			out = colenc.AppendFrame(out, appendChunkV2(nil, recs[:n]))
-			recs = recs[n:]
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("campaign: cannot encode journal format %v", format)
-	}
+	return out
 }
 
-// ConvertJournal rewrites the campaign journal in dir into the target
-// format (flushEvery tunes the v2 chunk width; 0 means the default).
-// The conversion is refused on a torn journal — convert must never
-// silently discard bytes a resume would have surfaced as torn; Open the
-// campaign first to adjudicate the tail. The rewrite is verified
-// (re-replayed and compared record-for-record against the source)
-// before being published atomically and durably over the old journal,
-// so a crash at any point leaves either the old or the new journal
-// intact, never a hybrid. A journal already in the target format is
-// left untouched.
-func ConvertJournal(dir string, to Format, flushEvery int) (ConvertInfo, error) {
-	if to != FormatJSONL && to != FormatV2 {
-		return ConvertInfo{}, fmt.Errorf("campaign: cannot convert to journal format %v", to)
-	}
+// ConvertJournal upgrades the v1 campaign journal in dir to v2, so the
+// campaign can resume. The conversion is refused on a torn journal —
+// convert must never silently discard bytes a resume would have
+// surfaced as torn; Open the campaign first (it drops the tail before
+// refusing v1 with ErrJournalV1). The rewrite is verified (re-replayed
+// and compared record-for-record against the source) before being
+// published atomically and durably over the old journal, so a crash at
+// any point leaves either the old or the new journal intact, never a
+// hybrid. A journal already in v2 is left untouched.
+func ConvertJournal(dir string) (ConvertInfo, error) {
 	_, st, err := Load(dir)
 	if err != nil {
 		return ConvertInfo{}, err
@@ -87,17 +55,12 @@ func ConvertJournal(dir string, to Format, flushEvery int) (ConvertInfo, error) 
 		// journal as it stands.
 		st.Format = FormatJSONL
 	}
-	path := filepath.Join(dir, JournalFile)
-	oldBytes := st.ValidBytes
-	info := ConvertInfo{From: st.Format, To: to, Records: len(st.Records), OldBytes: oldBytes}
-	if st.Format == to {
-		info.NewBytes = oldBytes
+	info := ConvertInfo{From: st.Format, To: FormatV2, Records: len(st.Records), OldBytes: st.ValidBytes}
+	if st.Format == FormatV2 {
+		info.NewBytes = st.ValidBytes
 		return info, nil
 	}
-	nb, err := encodeJournal(st.Records, to, flushEvery)
-	if err != nil {
-		return ConvertInfo{}, err
-	}
+	nb := encodeJournal(st.Records)
 	// Verify before publishing: the new bytes must replay to exactly
 	// the records the old journal held — a conversion is only a
 	// conversion if replay cannot tell (beyond the format tag).
@@ -110,15 +73,8 @@ func ConvertJournal(dir string, to Format, flushEvery int) (ConvertInfo, error) 
 			return ConvertInfo{}, fmt.Errorf("campaign: conversion self-check failed at record %d", i+1)
 		}
 	}
-	tmp := path + ".convert"
-	if err := writeFileDurable(tmp, nb); err != nil {
+	if err := PublishFile(filepath.Join(dir, JournalFile), nb); err != nil {
 		return ConvertInfo{}, fmt.Errorf("campaign: %w", err)
-	}
-	if err := renameFile(tmp, path); err != nil {
-		return ConvertInfo{}, fmt.Errorf("campaign: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return ConvertInfo{}, fmt.Errorf("campaign: syncing directory: %w", err)
 	}
 	info.NewBytes = int64(len(nb))
 	return info, nil

@@ -11,28 +11,38 @@ import (
 	"repro/internal/colenc"
 )
 
-// validJournal builds an n-record v1 journal in memory for fuzz seeding.
-func validJournal(tb testing.TB, n int) []byte {
-	return validJournalOpt(tb, n, JournalOptions{})
-}
-
-// validJournalOpt builds an n-record journal in the given format.
-func validJournalOpt(tb testing.TB, n int, opt JournalOptions) []byte {
-	tb.Helper()
-	dir := tb.TempDir()
-	j, err := CreateJournal(dir, Manifest{Version: FormatVersion, Seed: 1}, opt)
-	if err != nil {
-		tb.Fatal(err)
-	}
+// fuzzEvents is an n-event stream cycling through every event kind.
+func fuzzEvents(n int) []bench.Event {
 	kinds := []bench.EventKind{
 		bench.EventWarmup, bench.EventSample, bench.EventRetry,
 		bench.EventPanic, bench.EventLoss,
 	}
-	for i := 1; i <= n; i++ {
-		ev := bench.Event{Kind: kinds[i%len(kinds)], Calls: i}
+	evs := make([]bench.Event, n)
+	for i := range evs {
+		ev := bench.Event{Kind: kinds[(i+1)%len(kinds)], Calls: i + 1}
 		if ev.Kind == bench.EventSample {
-			ev.Value = float64(i) * 1.5
+			ev.Value = float64(i+1) * 1.5
 		}
+		evs[i] = ev
+	}
+	return evs
+}
+
+// validJournal builds an n-record v1 journal in memory for fuzz seeding.
+func validJournal(tb testing.TB, n int) []byte {
+	return encodeV1(tb, numbered(fuzzEvents(n)))
+}
+
+// validJournalV2 builds an n-record v2 journal with the given chunk
+// width.
+func validJournalV2(tb testing.TB, n, flushEvery int) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	j, err := CreateJournal(dir, Manifest{Version: FormatVersion, Seed: 1}, JournalOptions{FlushEvery: flushEvery})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, ev := range fuzzEvents(n) {
 		if err := j.Record(ev); err != nil {
 			tb.Fatal(err)
 		}
@@ -79,7 +89,7 @@ func FuzzReplay(f *testing.F) {
 	}
 	// Cross-format seeds: sniffing must route v2 bytes (and hybrids that
 	// can only arise from corruption) through the same invariants.
-	v2 := validJournalOpt(f, 5, JournalOptions{Format: FormatV2, FlushEvery: 2})
+	v2 := validJournalV2(f, 5, 2)
 	f.Add(v2)
 	f.Add(append(append([]byte(nil), v2...), valid...))
 	f.Add(append(append([]byte(nil), valid...), v2...))
@@ -121,8 +131,8 @@ func FuzzReplay(f *testing.F) {
 // count field, ValidBytes lands on header/chunk boundaries only, and
 // the verified prefix re-replays identically.
 func FuzzJournalV2(f *testing.F) {
-	small := validJournalOpt(f, 6, JournalOptions{Format: FormatV2, FlushEvery: 2})
-	big := validJournalOpt(f, 40, JournalOptions{Format: FormatV2, FlushEvery: 16})
+	small := validJournalV2(f, 6, 2)
+	big := validJournalV2(f, 40, 16)
 	f.Add(small)
 	f.Add(big)
 	f.Add([]byte{})

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/telemetry"
@@ -47,15 +46,35 @@ func syncDir(dir string) error {
 	return err
 }
 
+// PublishFile durably and atomically replaces path with data: the bytes
+// go to path+".tmp" and are fsynced, the temp file is renamed over
+// path, and the directory is fsynced so the rename itself survives a
+// crash. A crash at any point leaves either the old file or the new
+// one under path, never a torn or empty one.
+func PublishFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := writeFileDurable(tmp, data); err != nil {
+		return err
+	}
+	if err := renameFile(tmp, path); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("syncing directory: %w", err)
+	}
+	return nil
+}
+
 // On-disk layout of a campaign directory.
 const (
 	// ManifestFile holds the campaign Manifest (JSON).
 	ManifestFile = "manifest.json"
-	// JournalFile is the append-only event journal. The name is fixed
-	// across formats — v1 is JSONL (one CRC-framed record per line), v2
-	// is the chunked binary layout (see journalv2.go); readers sniff the
-	// format from the leading bytes, so every consumer (resume, shard
-	// merge, remote chunk shipment) handles either transparently.
+	// JournalFile is the append-only event journal. Writers produce the
+	// v2 chunked binary layout (see journalv2.go); the name predates it
+	// and is kept so finished v1 JSONL journals (one CRC-framed record
+	// per line) still load. Readers sniff the format from the leading
+	// bytes, so every consumer (shard merge, remote chunk shipment,
+	// audit) reads either transparently.
 	JournalFile = "journal.jsonl"
 )
 
@@ -110,32 +129,24 @@ func (s State) Samples() []float64 {
 	return xs
 }
 
-// DefaultFlushEvery is the v2 group-commit width: how many records a
-// chunk accumulates before it is sealed (written, CRC-framed, and — in
-// Sync mode — fsynced). One fsync then covers DefaultFlushEvery
-// records instead of one, which is where the v2 append-throughput win
-// comes from; the price is that an OS crash can lose up to
-// FlushEvery-1 trailing events (a clean Close loses none). Resume
-// simply re-measures the lost tail — bit-identically, for a
-// deterministic source.
+// DefaultFlushEvery is the group-commit width: how many records a chunk
+// accumulates before it is sealed (written, CRC-framed, and fsynced).
+// One fsync then covers DefaultFlushEvery records instead of one, which
+// is where the append throughput comes from; the price is that an OS
+// crash can lose up to FlushEvery-1 trailing events (a clean Close
+// loses none). Resume simply re-measures the lost tail —
+// bit-identically, for a deterministic source.
 const DefaultFlushEvery = 64
 
-// JournalOptions selects the on-disk journal format and tunes the v2
-// group-commit width. The zero value is the v1 JSONL format with
-// per-record fsync — the most durable and the slowest.
+// JournalOptions tunes the journal writer. The zero value is the
+// default group-commit width.
 type JournalOptions struct {
-	// Format is the on-disk layout (FormatJSONL or FormatV2); 0 means
-	// FormatJSONL.
-	Format Format
-	// FlushEvery is the v2 records-per-chunk group-commit width; 0
-	// means DefaultFlushEvery. Ignored by FormatJSONL.
+	// FlushEvery is the records-per-chunk group-commit width; 0 means
+	// DefaultFlushEvery.
 	FlushEvery int
 }
 
 func (o JournalOptions) withDefaults() JournalOptions {
-	if o.Format == 0 {
-		o.Format = FormatJSONL
-	}
 	if o.FlushEvery <= 0 {
 		o.FlushEvery = DefaultFlushEvery
 	}
@@ -144,26 +155,16 @@ func (o JournalOptions) withDefaults() JournalOptions {
 
 // Journal is an open write-ahead journal. It implements bench.Recorder:
 // attach it via Plan.Record and every collection event is framed,
-// checksummed, and flushed to disk before collection proceeds (v1
-// per-record; v2 per sealed chunk).
+// checksummed, and flushed to disk with its chunk before collection
+// proceeds past the chunk boundary.
 type Journal struct {
-	f   *os.File
-	seq int
-	// Sync controls fsync on the append path. Default true: an OS crash
-	// loses at most the record being written (v1) or the unsealed chunk
-	// tail (v2). Set false to trade durability against the page cache
-	// for journaling throughput.
-	Sync bool
-
-	format     Format
+	f          *os.File
+	seq        int
 	flushEvery int
-	pending    []Record // v2: records accepted but not yet sealed
+	pending    []Record // records accepted but not yet sealed
 	good       int64    // offset of the last cleanly-written byte (the rewind floor)
 	broken     error    // latched after an unrecoverable rewind failure
 }
-
-// Format returns the journal's on-disk format.
-func (j *Journal) Format() Format { return j.format }
 
 // Errors returned by the journal layer.
 var (
@@ -172,17 +173,19 @@ var (
 	ErrCampaignExists = errors.New("campaign: directory already holds a campaign")
 	// ErrNoCampaign reports Open on a directory without a manifest.
 	ErrNoCampaign = errors.New("campaign: no campaign in directory")
+	// ErrJournalV1 reports Open on a v1 JSONL journal: v1 is read-only,
+	// so the campaign must be converted to v2 before it can resume.
+	ErrJournalV1 = errors.New("campaign: journal is v1 JSONL, which is read-only")
 )
 
-// Create starts a new campaign in the default (v1 JSONL) journal
-// format: it creates dir (if needed), writes the manifest, and opens an
-// empty journal. It refuses a directory that already contains a
-// campaign.
+// Create starts a new campaign: it creates dir (if needed), writes the
+// manifest, and opens an empty journal. It refuses a directory that
+// already contains a campaign.
 func Create(dir string, m Manifest) (*Journal, error) {
 	return CreateJournal(dir, m, JournalOptions{})
 }
 
-// CreateJournal is Create with an explicit journal format selection.
+// CreateJournal is Create with explicit journal options.
 func CreateJournal(dir string, m Manifest, opt JournalOptions) (*Journal, error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -197,20 +200,9 @@ func CreateJournal(dir string, m Manifest, opt JournalOptions) (*Journal, error)
 		return nil, fmt.Errorf("campaign: encoding manifest: %w", err)
 	}
 	// Manifest first, atomically AND durably: a journal must never exist
-	// without the setup record that makes it interpretable (Rule 9). The
-	// rename alone is not enough — the temp file's bytes must be fsynced
-	// before the rename (or a crash can publish an empty manifest under
-	// the final name) and the directory must be fsynced after it (or the
-	// rename itself can be lost while the journal's creation survives).
-	tmp := mpath + ".tmp"
-	if err := writeFileDurable(tmp, append(mb, '\n')); err != nil {
+	// without the setup record that makes it interpretable (Rule 9).
+	if err := PublishFile(mpath, append(mb, '\n')); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if err := renameFile(tmp, mpath); err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return nil, fmt.Errorf("campaign: syncing directory: %w", err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, JournalFile),
 		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -224,15 +216,13 @@ func CreateJournal(dir string, m Manifest, opt JournalOptions) (*Journal, error)
 		f.Close()
 		return nil, fmt.Errorf("campaign: syncing directory: %w", err)
 	}
-	j := &Journal{f: f, Sync: true, format: opt.Format, flushEvery: opt.FlushEvery}
-	if opt.Format == FormatV2 {
-		// The format header goes down durably before the first record so
-		// every later reader — including one racing a crash — sniffs v2
-		// from the verified prefix.
-		if err := j.writeHeaderV2(); err != nil {
-			f.Close()
-			return nil, err
-		}
+	j := &Journal{f: f, flushEvery: opt.FlushEvery}
+	// The format header goes down durably before the first record so
+	// every later reader — including one racing a crash — sniffs v2 from
+	// the verified prefix.
+	if err := j.writeHeaderV2(); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return j, nil
 }
@@ -279,27 +269,23 @@ func Load(dir string) (Manifest, State, error) {
 }
 
 // Open reopens an interrupted campaign for appending: it replays the
-// journal (sniffing the on-disk format), truncates any torn tail, and
-// positions the writer after the last verified record — continuing in
-// the format the journal already uses.
+// journal, truncates any torn tail, and positions the writer after the
+// last verified record.
 func Open(dir string) (*Journal, Manifest, State, error) {
 	return OpenJournal(dir, JournalOptions{})
 }
 
-// OpenJournal is Open with explicit options. The journal's existing
-// format always wins — a resume must extend the journal it found, not
-// switch layouts mid-file; opt.Format applies only when the journal is
-// empty (nothing written yet), and opt.FlushEvery tunes the v2
-// group-commit width for the appended continuation.
+// OpenJournal is Open with explicit options. A journal holding v1
+// records is refused with ErrJournalV1 once its torn tail is dropped:
+// v1 is read-only, and `scibench convert` upgrades it in place. Open
+// never rewrites the journal itself — remote workers ship journals
+// append-only, so a rewritten prefix would corrupt the coordinator's
+// mirror.
 func OpenJournal(dir string, opt JournalOptions) (*Journal, Manifest, State, error) {
 	opt = opt.withDefaults()
 	m, st, err := Load(dir)
 	if err != nil {
 		return nil, Manifest{}, State{}, err
-	}
-	format := st.Format
-	if format == 0 {
-		format = opt.Format
 	}
 	f, err := os.OpenFile(filepath.Join(dir, JournalFile), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -311,15 +297,18 @@ func OpenJournal(dir string, opt JournalOptions) (*Journal, Manifest, State, err
 		f.Close()
 		return nil, Manifest{}, State{}, fmt.Errorf("campaign: truncating torn tail: %w", err)
 	}
+	if st.Format == FormatJSONL && st.ValidBytes > 0 {
+		f.Close()
+		return nil, Manifest{}, State{}, fmt.Errorf("%w: run `scibench convert %s` to upgrade it to v2, then resume", ErrJournalV1, dir)
+	}
 	if _, err := f.Seek(st.ValidBytes, 0); err != nil {
 		f.Close()
 		return nil, Manifest{}, State{}, fmt.Errorf("campaign: %w", err)
 	}
-	j := &Journal{f: f, seq: len(st.Records), Sync: true,
-		format: format, flushEvery: opt.FlushEvery, good: st.ValidBytes}
-	if format == FormatV2 && st.ValidBytes == 0 {
-		// The header itself was torn (crash inside Create): lay it down
-		// again before appending.
+	j := &Journal{f: f, seq: len(st.Records), flushEvery: opt.FlushEvery, good: st.ValidBytes}
+	if st.ValidBytes == 0 {
+		// Nothing verified, not even the header (a crash inside Create,
+		// or an empty journal): lay the header down before appending.
 		if err := j.writeHeaderV2(); err != nil {
 			f.Close()
 			return nil, Manifest{}, State{}, err
@@ -379,53 +368,27 @@ func decodeLine(line []byte) (Record, bool) {
 }
 
 // Record appends one collection event under the write-ahead contract:
-// an event is only acknowledged to the collection loop once it is
-// durable (v1: CRC-framed, written, fsynced; v2: accepted into the
-// pending chunk, which seals — write + CRC + group fsync — every
-// FlushEvery records and on Close).
+// the event is accepted into the pending chunk, which seals — write +
+// CRC + group fsync — every FlushEvery records and on Close. Acceptance
+// is the acknowledgment the collection loop sees; durability lands at
+// the seal, so an OS crash exposes at most FlushEvery−1 trailing events
+// (a clean Close loses none), and resume re-measures them
+// deterministically.
 //
-// A failed append leaves the journal recoverable: the file is rewound
-// to the last durable offset (never leaving a torn fragment mid-file)
-// and seq does not advance, so a caller that survives the error — or a
-// retry of the same event — continues a journal whose every byte still
-// replays. Without the rewind, the next successful append would land
-// after the torn fragment and Replay would drop it and everything
-// beyond it as a torn tail.
+// A failed seal leaves the journal recoverable: the file is rewound to
+// the last durable offset (never leaving a torn fragment mid-file) and
+// the records stay pending, so a caller that survives the error — or a
+// Flush/Close after it — lands them. Without the rewind, the next
+// successful seal would land after the torn fragment and Replay would
+// drop it and everything beyond it as a torn tail.
 func (j *Journal) Record(ev bench.Event) error {
 	if j.broken != nil {
 		return j.broken
 	}
-	if j.format == FormatV2 {
-		return j.recordV2(ev)
+	j.pending = append(j.pending, Record{Seq: j.seq + len(j.pending) + 1, Event: ev})
+	if len(j.pending) >= j.flushEvery {
+		return j.seal()
 	}
-	next := j.seq + 1
-	rb, err := json.Marshal(Record{Seq: next, Event: ev})
-	if err != nil {
-		return fmt.Errorf("campaign: encoding record: %w", err)
-	}
-	lb, err := json.Marshal(frame{CRC: crc32.ChecksumIEEE(rb), Rec: rb})
-	if err != nil {
-		return fmt.Errorf("campaign: framing record: %w", err)
-	}
-	line := append(lb, '\n')
-	if _, err := journalWrite(j.f, line); err != nil {
-		j.rewind()
-		return fmt.Errorf("campaign: appending record: %w", err)
-	}
-	if j.Sync {
-		t0 := time.Now()
-		if err := fsyncFile(j.f); err != nil {
-			// The bytes may or may not have reached disk; either way the
-			// record was not acknowledged, so it must not stay in the
-			// file — a retry would otherwise duplicate its seq.
-			j.rewind()
-			return fmt.Errorf("campaign: syncing journal: %w", err)
-		}
-		telFsyncUs.Observe(telemetry.Us(time.Since(t0)))
-	}
-	j.seq = next
-	j.good += int64(len(line))
-	telRecords.Inc()
 	return nil
 }
 
@@ -444,8 +407,8 @@ func (j *Journal) rewind() {
 	}
 }
 
-// Flush seals any pending v2 chunk (a no-op for v1, which has no
-// buffered state). Call it to checkpoint mid-campaign without closing.
+// Flush seals any pending chunk. Call it to checkpoint mid-campaign
+// without closing.
 func (j *Journal) Flush() error {
 	if j.broken != nil {
 		return j.broken
@@ -453,7 +416,7 @@ func (j *Journal) Flush() error {
 	return j.seal()
 }
 
-// Close flushes and closes the journal file. Pending v2 records are
+// Close flushes and closes the journal file. Pending records are
 // sealed first, so a clean shutdown never loses accepted events.
 func (j *Journal) Close() error {
 	if j.f == nil {

@@ -16,12 +16,13 @@ type Format int
 
 const (
 	// FormatJSONL is the v1 layout: one CRC32-framed JSON record per
-	// line, fsynced per record. Maximally durable, human-greppable, and
-	// the slowest — fsync latency is paid once per collection event.
+	// line. It is read-only: Replay, Load and merge still read it, and
+	// ConvertJournal upgrades it to v2, but no writer produces it.
 	FormatJSONL Format = 1
-	// FormatV2 is the chunked binary layout: a magic header followed by
-	// CRC32-framed chunks of column-major, delta- and varint-compressed
-	// records, fsynced per sealed chunk (group commit). One fsync covers
+	// FormatV2 is the chunked binary layout every journal is written
+	// in: a magic header followed by CRC32-framed chunks of
+	// column-major, delta- and varint-compressed records, fsynced per
+	// sealed chunk (group commit). One fsync covers
 	// FlushEvery records and samples cost a few bytes instead of ~100,
 	// at the price that an OS crash may lose the unsealed tail (which
 	// resume re-measures deterministically).
@@ -37,19 +38,6 @@ func (f Format) String() string {
 		return "v2"
 	default:
 		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// ParseFormat parses a CLI journal-format spelling. The empty string is
-// the default (v1); "v1"/"jsonl" and "v2"/"binary" are accepted.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "", "v1", "jsonl":
-		return FormatJSONL, nil
-	case "v2", "binary":
-		return FormatV2, nil
-	default:
-		return 0, fmt.Errorf("campaign: unknown journal format %q (want v1, jsonl, v2 or binary)", s)
 	}
 }
 
@@ -226,7 +214,7 @@ func decodeChunkV2(payload []byte, have int) ([]Record, bool) {
 // frames, accepting chunks up to the first torn or corrupt one. A torn
 // header (crash inside CreateJournal before the header reached disk)
 // yields ValidBytes 0; OpenJournal rewrites the header and the journal
-// continues empty, exactly as a v1 journal torn at byte 0 would.
+// continues empty.
 func replayV2(data []byte) State {
 	st := State{Format: FormatV2}
 	if !bytes.HasPrefix(data, magicV2) {
@@ -261,36 +249,21 @@ func (j *Journal) writeHeaderV2() error {
 		j.rewind()
 		return fmt.Errorf("campaign: writing journal header: %w", err)
 	}
-	if j.Sync {
-		if err := fsyncFile(j.f); err != nil {
-			j.rewind()
-			return fmt.Errorf("campaign: syncing journal header: %w", err)
-		}
+	if err := fsyncFile(j.f); err != nil {
+		j.rewind()
+		return fmt.Errorf("campaign: syncing journal header: %w", err)
 	}
 	j.good = int64(len(magicV2))
 	return nil
 }
 
-// recordV2 accepts one event into the pending chunk, sealing when the
-// group-commit width is reached. Acceptance is the acknowledgment the
-// collection loop sees; durability lands at the seal — the documented
-// v2 trade (≤ FlushEvery−1 trailing events exposed to an OS crash, a
-// clean Close loses none, resume re-measures deterministically).
-func (j *Journal) recordV2(ev bench.Event) error {
-	j.pending = append(j.pending, Record{Seq: j.seq + len(j.pending) + 1, Event: ev})
-	if len(j.pending) >= j.flushEvery {
-		return j.seal()
-	}
-	return nil
-}
-
-// seal writes the pending records as one CRC-framed chunk and (in Sync
-// mode) fsyncs it. On failure the file is rewound to the last durable
-// offset but pending is kept: the records were accepted, and a caller
+// seal writes the pending records as one CRC-framed chunk and fsyncs
+// it. On failure the file is rewound to the last durable offset but
+// pending is kept: the records were accepted, and a caller
 // that retries (or a Close after a transient error) seals them again —
 // the journal on disk never holds a torn fragment between chunks.
 func (j *Journal) seal() error {
-	if j.format != FormatV2 || len(j.pending) == 0 {
+	if len(j.pending) == 0 {
 		return nil
 	}
 	frame := colenc.AppendFrame(nil, appendChunkV2(nil, j.pending))
@@ -298,14 +271,12 @@ func (j *Journal) seal() error {
 		j.rewind()
 		return fmt.Errorf("campaign: appending chunk: %w", err)
 	}
-	if j.Sync {
-		t0 := time.Now()
-		if err := fsyncFile(j.f); err != nil {
-			j.rewind()
-			return fmt.Errorf("campaign: syncing journal: %w", err)
-		}
-		telFsyncUs.Observe(telemetry.Us(time.Since(t0)))
+	t0 := time.Now()
+	if err := fsyncFile(j.f); err != nil {
+		j.rewind()
+		return fmt.Errorf("campaign: syncing journal: %w", err)
 	}
+	telFsyncUs.Observe(telemetry.Us(time.Since(t0)))
 	j.seq += len(j.pending)
 	j.good += int64(len(frame))
 	telRecords.Add(int64(len(j.pending)))

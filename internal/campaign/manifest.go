@@ -1,6 +1,6 @@
 // Package campaign makes benchmark campaigns durable and interruptible:
-// a write-ahead sample journal (append-only JSONL with per-record CRC32
-// checksums), a campaign manifest binding the journal to its exact
+// a write-ahead sample journal (append-only, CRC32-framed chunks of
+// column-encoded records; see journalv2.go), a campaign manifest binding the journal to its exact
 // experimental setup (config hash, RNG seed, fault-schedule fingerprint,
 // environment description — Rule 9's reproducibility record), and a
 // resume path that replays a possibly-truncated journal, drops the torn
@@ -10,8 +10,8 @@
 // The motivation is the paper's Rule 2 ("report all data") under the
 // reality Hunold & Carpen-Amarie document: multi-hour campaigns die
 // mid-run. Without a journal, a crash or Ctrl-C silently discards every
-// sample gathered so far; with one, the campaign checkpoints on every
-// observation and an interrupted run resumes bit-for-bit. Resume is
+// sample gathered so far; with one, the campaign checkpoints every
+// chunk of observations and an interrupted run resumes bit-for-bit. Resume is
 // refused when the configuration drifted — continuing a campaign under
 // a different setup would silently mix two experiments, which the
 // twelve-rule audit surfaces as a Rule 9 violation.

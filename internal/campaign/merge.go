@@ -1,10 +1,6 @@
 package campaign
 
-import (
-	"fmt"
-
-	"repro/internal/rules"
-)
+import "repro/internal/rules"
 
 // LoadVerified is the merge reader: it loads a unit campaign directory
 // and verifies the recorded manifest against the manifest the caller
@@ -25,22 +21,4 @@ func LoadVerified(dir string, want Manifest) (Manifest, State, []rules.Finding, 
 		return recorded, st, driftFindings(ds, "merge"), driftError(ds)
 	}
 	return recorded, st, nil, nil
-}
-
-// VerifySweepMember checks that a unit manifest carries the expected
-// sweep membership (hash and unit id); a standalone campaign or one
-// from a different sweep is refused with a named-field drift error.
-func VerifySweepMember(m Manifest, sweepHash, unitID string) error {
-	switch {
-	case m.Sweep == nil:
-		return fmt.Errorf("%w: mismatched field(s): sweep membership (recorded standalone campaign, current sweep unit %s)",
-			ErrManifestDrift, unitID)
-	case m.Sweep.SweepHash != sweepHash:
-		return fmt.Errorf("%w: mismatched field(s): sweep hash (recorded %s, current %s)",
-			ErrManifestDrift, short(m.Sweep.SweepHash), short(sweepHash))
-	case m.Sweep.UnitID != unitID:
-		return fmt.Errorf("%w: mismatched field(s): sweep unit (recorded %s, current %s)",
-			ErrManifestDrift, m.Sweep.UnitID, unitID)
-	}
-	return nil
 }

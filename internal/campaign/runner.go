@@ -16,18 +16,18 @@ import (
 // boundary drift check (Pettitt across the combined stream).
 const boundaryAlpha = 0.01
 
-// Run executes a fully journaled campaign in dir: every collection
-// event is durable before the next observation runs, so an interruption
-// at any point — Ctrl-C, OOM, power loss — leaves a resumable journal.
+// Run executes a fully journaled campaign in dir: collection events are
+// made durable chunk by chunk, so an interruption at any point — Ctrl-C,
+// OOM, power loss — leaves a resumable journal (a crash costs at most
+// the unsealed chunk, which Resume re-measures deterministically).
 // Interruption surfaces as Result.Stop == bench.StopInterrupted.
 func Run(ctx context.Context, dir string, m Manifest, plan bench.Plan, measure func() (float64, error)) (bench.Result, error) {
 	return RunOpts(ctx, dir, m, plan, measure, JournalOptions{})
 }
 
-// RunOpts is Run with an explicit journal format selection. The format
-// is storage, not experiment identity: a campaign journaled in v2
-// retains the same records a v1 campaign would, and its report is
-// byte-identical.
+// RunOpts is Run with explicit journal options. The group-commit width
+// is storage, not experiment identity: the journal retains the same
+// records whatever the width, and the report is byte-identical.
 func RunOpts(ctx context.Context, dir string, m Manifest, plan bench.Plan,
 	measure func() (float64, error), opt JournalOptions) (bench.Result, error) {
 	ctx, span := telemetry.StartSpan(ctx, "campaign", filepath.Base(dir))
@@ -64,10 +64,6 @@ type ResumeOptions struct {
 	// the journal.
 	NoVerify bool
 	// Journal tunes the journal writer for the appended continuation.
-	// The journal's existing on-disk format always wins (a resume
-	// extends the journal it found); Journal.Format only applies when
-	// nothing was journaled yet, and Journal.FlushEvery tunes the v2
-	// group-commit width.
 	Journal JournalOptions
 }
 

@@ -37,8 +37,11 @@ import (
 
 // ProtocolVersion identifies the wire protocol; a version mismatch at
 // registration is refused rather than negotiated — a drifted protocol
-// is a drifted experiment transport (Rule 9).
-const ProtocolVersion = 1
+// is a drifted experiment transport (Rule 9). Version 2 dropped the
+// shard manifest's journal field: every worker journals v2, and a
+// version-1 worker would read its absence as v1 and write unit journals
+// a replacement worker could not resume.
+const ProtocolVersion = 2
 
 // MaxChunk bounds one chunk frame's payload. Larger ships are split;
 // larger received frames are refused.

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,10 +40,11 @@ type unitCfg struct {
 // same unit yields the same samples on every worker (the invariant the
 // whole transport leans on). throttle slows samples so tests can cut a
 // partition mid-unit; calls counts real measurements for resume
-// assertions.
+// assertions; samples overrides the per-unit sample count (default 12).
 type testRunner struct {
 	throttle time.Duration
 	calls    *atomic.Int64
+	samples  int
 }
 
 func (r testRunner) Setup(u shard.Unit) (campaign.Manifest, bench.Plan, func() (float64, error), error) {
@@ -64,7 +66,11 @@ func (r testRunner) Setup(u shard.Unit) (campaign.Manifest, bench.Plan, func() (
 		}
 		return cfg.Base * (1 + 0.05*rng.Float64()), nil
 	}
-	return man, bench.Plan{Warmup: 2, MinSamples: 12, Workers: 1}, measure, nil
+	samples := r.samples
+	if samples == 0 {
+		samples = 12
+	}
+	return man, bench.Plan{Warmup: 2, MinSamples: samples, Workers: 1}, measure, nil
 }
 
 func testFaultFP(t testing.TB) string {
@@ -113,13 +119,13 @@ func buildSweep(t testing.TB, dir string, k, n int) shard.SweepManifest {
 
 // referenceReport runs the identical sweep single-process and returns
 // the canonical report bytes — what every distributed run must equal.
-func referenceReport(t *testing.T, k int) []byte {
+func referenceReport(t *testing.T, k int, r testRunner) []byte {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ref")
 	sw := buildSweep(t, dir, k, 1)
 	for i := range sw.Shards() {
 		sd := filepath.Join(dir, shard.ShardDirName(i))
-		if _, err := shard.ExecShard(context.Background(), sd, testRunner{}, shard.ExecOptions{}); err != nil {
+		if _, err := shard.ExecShard(context.Background(), sd, r, shard.ExecOptions{}); err != nil {
 			t.Fatalf("reference shard %d: %v", i, err)
 		}
 	}
@@ -156,7 +162,7 @@ func TestLoopbackTwoWorkersFaultyByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives wall-clock supervision loops")
 	}
-	ref := referenceReport(t, 6)
+	ref := referenceReport(t, 6, testRunner{})
 
 	dir := filepath.Join(t.TempDir(), "sweep")
 	buildSweep(t, dir, 6, 2)
@@ -241,8 +247,10 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives wall-clock supervision loops")
 	}
-	const k = 4
-	ref := referenceReport(t, k)
+	// Units longer than one 64-record journal chunk, so a chunk seals
+	// and ships while the unit is still measuring.
+	const k, samples = 4, 120
+	ref := referenceReport(t, k, testRunner{samples: samples})
 
 	dir := filepath.Join(t.TempDir(), "sweep")
 	buildSweep(t, dir, k, 1)
@@ -259,7 +267,7 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 		w, err := StartWorker(WorkerOptions{
 			Coordinator:  c.URL(),
 			WorkDir:      filepath.Join(t.TempDir(), name),
-			Runner:       testRunner{throttle: 5 * time.Millisecond, calls: calls},
+			Runner:       testRunner{throttle: 5 * time.Millisecond, calls: calls, samples: samples},
 			Hostname:     name,
 			Env:          env,
 			Heartbeat:    50 * time.Millisecond,
@@ -283,7 +291,7 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 
 	// Cut the link once the mirror proves worker A is mid-shard: the
 	// first unit fully shipped and verified-complete, the second unit's
-	// journal partially shipped.
+	// journal shipped up to its first sealed chunk.
 	shardDir := filepath.Join(dir, shard.ShardDirName(0))
 	u0 := filepath.Join(shardDir, shard.UnitsDir, "u00-cfg-00", shard.UnitResultFile)
 	u1 := filepath.Join(shardDir, shard.UnitsDir, "u01-cfg-01", campaign.JournalFile)
@@ -293,7 +301,7 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 		deadline := time.Now().Add(20 * time.Second)
 		for time.Now().Before(deadline) {
 			if _, err := os.Stat(u0); err == nil {
-				if fi, err := os.Stat(u1); err == nil && fi.Size() > 300 {
+				if fi, err := os.Stat(u1); err == nil && fi.Size() > 8 {
 					ftA.Partition()
 					return
 				}
@@ -326,12 +334,13 @@ func TestPartitionReassignmentByteIdentity(t *testing.T) {
 	// The replacement worker resumed from the mirror: it measured
 	// something, but strictly less than the whole sweep (the completed
 	// first unit shipped before the cut is never re-measured).
-	full := int64(k * 14) // Warmup 2 + MinSamples 12 per unit
+	const perUnit = samples + 2 // Warmup 2 + MinSamples per unit
+	full := int64(k * perUnit)
 	if callsB.Load() == 0 {
 		t.Fatal("worker B measured nothing; reassignment never reached it")
 	}
-	if callsB.Load() > full-14 {
-		t.Errorf("worker B re-measured completed observations: %d calls, want ≤ %d", callsB.Load(), full-14)
+	if callsB.Load() > full-perUnit {
+		t.Errorf("worker B re-measured completed observations: %d calls, want ≤ %d", callsB.Load(), full-perUnit)
 	}
 
 	// Completion provenance: attempt 2, worker B's host.
@@ -588,6 +597,34 @@ func TestChunkApplySemantics(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesProtocolV1 pins the version bump that came with
+// v2-only journals: a worker built before it reads a shard manifest
+// without a journal field as v1 and would write unit journals a
+// replacement worker cannot resume, so the coordinator must refuse its
+// registration outright.
+func TestRegisterRefusesProtocolV1(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sweep")
+	buildSweep(t, dir, 2, 1)
+	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	env := HostEnv()
+	fp, _ := Fingerprint(env)
+	client := &http.Client{Timeout: 2 * time.Second}
+	var reg RegisterResponse
+	err = postJSON(client, c.URL()+PathRegister, RegisterRequest{
+		Protocol: 1, Addr: "http://127.0.0.1:9", Hostname: "old", Env: env, EnvFingerprint: fp,
+	}, &reg)
+	if err == nil || !strings.Contains(err.Error(), "protocol v1") {
+		t.Fatalf("protocol-1 registration: err = %v, want a protocol refusal", err)
+	}
+	if reg.WorkerID != "" {
+		t.Fatalf("protocol-1 worker was assigned id %q", reg.WorkerID)
+	}
+}
+
 func TestChunkFrameValidate(t *testing.T) {
 	good := ChunkFrame{Shard: 0, Attempt: 1, Path: "units/u0/journal.jsonl",
 		Data: []byte("x"), CRC: crc32.ChecksumIEEE([]byte("x"))}
@@ -648,28 +685,21 @@ func TestFaultTransportDeterministic(t *testing.T) {
 	}
 }
 
-// TestRemoteShipmentV2ByteIdentity runs a sweep whose units journal in
-// the chunked binary v2 format through the full remote transport: the
-// worker's truncate floors (campaign.ValidPrefix) and the coordinator's
-// byte-oriented chunk ingestion must be format-transparent, the
-// mirrored unit journals must replay as clean v2, and the merged report
-// must be byte-identical to the v1 single-process reference.
+// TestRemoteShipmentV2ByteIdentity runs a sweep's chunked binary v2
+// unit journals through the full remote transport: the worker's
+// truncate floors (campaign.ValidPrefix) and the coordinator's
+// byte-oriented chunk ingestion must carry them unchanged, the mirrored
+// unit journals must replay as clean v2, and the merged report must be
+// byte-identical to the single-process reference.
 func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives wall-clock supervision loops")
 	}
 	const k = 4
-	ref := referenceReport(t, k) // v1 journals: the cross-format baseline
+	ref := referenceReport(t, k, testRunner{})
 
 	dir := filepath.Join(t.TempDir(), "sweep")
-	sw, err := shard.NewSweep("remote-sweep", makeUnits(t, k), testFaultFP(t), testEnv, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Journal = "v2"
-	if err := shard.Create(dir, sw); err != nil {
-		t.Fatal(err)
-	}
+	sw := buildSweep(t, dir, k, 2)
 	c, err := NewCoordinator(dir, CoordinatorOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -706,7 +736,7 @@ func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 		}
 	}
 	if got := mergedReport(t, dir); !bytes.Equal(got, ref) {
-		t.Errorf("v2 remote report differs from v1 single-process run:\n--- ref\n%s\n--- got\n%s", ref, got)
+		t.Errorf("remote report differs from single-process run:\n--- ref\n%s\n--- got\n%s", ref, got)
 	}
 	// The mirrored journals the worker shipped back must be genuine v2
 	// bytes that replay clean — proof the byte-oriented transport and

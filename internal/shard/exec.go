@@ -152,24 +152,13 @@ func execUnit(ctx context.Context, shardDir string, m Manifest, u Unit, r UnitRu
 	}
 	man.Sweep = &campaign.SweepRef{SweepHash: m.SweepHash, UnitID: u.ID, Shard: m.Index}
 
-	// The unit journal format comes from the shard manifest, so every
-	// executor attempt — including a replacement on another machine —
-	// journals the format the sweep chose. Resume sniffs the existing
-	// journal regardless, so a sweep whose format setting changed
-	// between attempts still extends what is on disk.
-	format, err := campaign.ParseFormat(m.Journal)
-	if err != nil {
-		return fmt.Errorf("shard: unit %s: %w", u.ID, err)
-	}
-	jopt := campaign.JournalOptions{Format: format}
-
 	var res bench.Result
 	switch _, _, lerr := campaign.Load(dir); {
 	case lerr == nil:
 		// A previous executor died mid-unit: resume from its journal.
 		telUnitsResumed.Inc()
 		var info campaign.ResumeInfo
-		res, info, err = campaign.Resume(ctx, dir, man, plan, measure, campaign.ResumeOptions{Journal: jopt})
+		res, info, err = campaign.Resume(ctx, dir, man, plan, measure, campaign.ResumeOptions{})
 		if err != nil {
 			return fmt.Errorf("shard: resuming unit %s: %w", u.ID, err)
 		}
@@ -177,7 +166,7 @@ func execUnit(ctx context.Context, shardDir string, m Manifest, u Unit, r UnitRu
 			u.ID, info.PriorSamples, info.FastForwarded, len(res.Raw))
 	case errors.Is(lerr, campaign.ErrNoCampaign):
 		telUnitsRun.Inc()
-		res, err = campaign.RunOpts(ctx, dir, man, plan, measure, jopt)
+		res, err = campaign.Run(ctx, dir, man, plan, measure)
 		if err != nil {
 			return fmt.Errorf("shard: running unit %s: %w", u.ID, err)
 		}

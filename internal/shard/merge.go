@@ -210,11 +210,7 @@ func Merge(sweepDir string) (*MergeReport, error) {
 }
 
 // checkShardManifest verifies a shard directory's recorded manifest
-// against the one the sweep implies, naming every drifted field. The
-// Journal format field is deliberately not compared: it is storage,
-// not experiment identity — shards journaled in different formats
-// still merge to the same report (the merge replays journal records,
-// whatever bytes encode them).
+// against the one the sweep implies, naming every drifted field.
 func checkShardManifest(got, want Manifest) error {
 	var fields []string
 	mismatch := func(field, rec, cur string) {

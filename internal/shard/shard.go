@@ -86,12 +86,6 @@ type SweepManifest struct {
 	Environment      rules.Environment `json:"environment"`
 	SweepHash        string            `json:"sweep_hash"`
 	CreatedAt        time.Time         `json:"created_at"`
-	// Journal selects the unit journal format ("" or "v1" for JSONL,
-	// "v2" for chunked binary; campaign.ParseFormat spellings). Like
-	// NumShards it is deliberately outside SweepHash: the format is
-	// storage, not experiment identity — the same sweep journaled either
-	// way merges to byte-identical reports.
-	Journal string `json:"journal,omitempty"`
 }
 
 // Manifest is one shard's manifest: a contiguous slice of the sweep's
@@ -108,10 +102,6 @@ type Manifest struct {
 	Units            []Unit            `json:"units"`
 	Environment      rules.Environment `json:"environment"`
 	CreatedAt        time.Time         `json:"created_at"`
-	// Journal is the sweep's unit journal format, copied to every shard
-	// so an executor started from the shard manifest alone uses the
-	// format the sweep chose. Not part of any identity hash.
-	Journal string `json:"journal,omitempty"`
 }
 
 // Errors of the shard layer.
@@ -224,7 +214,6 @@ func (s SweepManifest) Shards() []Manifest {
 			Units:            s.Units[r[0]:r[1]],
 			Environment:      s.Environment,
 			CreatedAt:        s.CreatedAt,
-			Journal:          s.Journal,
 		}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -676,42 +677,40 @@ func (r driftRunner) Setup(u Unit) (campaign.Manifest, bench.Plan, func() (float
 	return man, plan, skew, nil
 }
 
+// encodeV1 is a test-only encoder of the read-only v1 JSONL journal
+// layout: one CRC32-framed JSON record per line, as v1 writers left it.
+func encodeV1(t *testing.T, recs []campaign.Record) []byte {
+	t.Helper()
+	var out []byte
+	for _, r := range recs {
+		rb, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = fmt.Appendf(out, "{\"crc\":%d,\"rec\":%s}\n", crc32.ChecksumIEEE(rb), rb)
+	}
+	return out
+}
+
 // TestMergeByteIdenticalAcrossJournalFormats is the shard-level
-// acceptance test for journal v2: the same sweep executed with v1 and
-// v2 unit journals merges to byte-identical reports, the v2 journals
-// really are the chunked binary format (and smaller), and a mixed
-// sweep — some unit journals converted in place after the run — still
-// merges to the same bytes, because the merge replays records, not
-// formats.
+// read-compatibility test for v1 journals: a finished sweep whose unit
+// journals are the v1 JSONL a v1 writer left merges to the same bytes
+// as the v2 sweep, and so does a mixed sweep — some unit journals
+// upgraded in place by ConvertJournal — because the merge replays
+// records, not formats.
 func TestMergeByteIdenticalAcrossJournalFormats(t *testing.T) {
 	const k, n = 6, 3
 	dirV1, dirV2 := t.TempDir(), t.TempDir()
 
-	swV1 := buildSweep(t, dirV1, k, n)
-	repV1 := execAll(t, dirV1, swV1)
-
-	swV2, err := NewSweep("test-sweep", makeUnits(t, k, 42), testFaultFP(t), testEnv, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swV2.Journal = "v2"
-	if err := Create(dirV2, swV2); err != nil {
-		t.Fatal(err)
-	}
-	if swV2.SweepHash != swV1.SweepHash {
-		t.Fatal("journal format leaked into sweep identity")
-	}
+	swV2 := buildSweep(t, dirV2, k, n)
 	repV2 := execAll(t, dirV2, swV2)
-
-	if !bytes.Equal(repV1, repV2) {
-		t.Fatalf("v1 and v2 sweeps produced different reports:\n--- v1 ---\n%s\n--- v2 ---\n%s", repV1, repV2)
-	}
+	swV1 := buildSweep(t, dirV1, k, n)
+	execAll(t, dirV1, swV1)
 
 	var v1Bytes, v2Bytes int64
-	for i := 0; i < n; i++ {
-		for _, u := range swV2.Shards()[i].Units {
-			jp := filepath.Join(UnitDir(filepath.Join(dirV2, ShardDirName(i)), u.ID), campaign.JournalFile)
-			data, err := os.ReadFile(jp)
+	for i, m := range swV1.Shards() {
+		for _, u := range m.Units {
+			data, err := os.ReadFile(filepath.Join(UnitDir(filepath.Join(dirV2, ShardDirName(i)), u.ID), campaign.JournalFile))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -719,29 +718,36 @@ func TestMergeByteIdenticalAcrossJournalFormats(t *testing.T) {
 				t.Fatalf("unit %s journal is not v2", u.ID)
 			}
 			v2Bytes += int64(len(data))
-		}
-		for _, u := range swV1.Shards()[i].Units {
-			jp := filepath.Join(UnitDir(filepath.Join(dirV1, ShardDirName(i)), u.ID), campaign.JournalFile)
-			st, err := os.Stat(jp)
+
+			// Rewrite the v1 sweep's unit journal as v1 JSONL.
+			ud := UnitDir(filepath.Join(dirV1, ShardDirName(i)), u.ID)
+			_, st, err := campaign.Load(ud)
 			if err != nil {
 				t.Fatal(err)
 			}
-			v1Bytes += st.Size()
+			v1 := encodeV1(t, st.Records)
+			if err := os.WriteFile(filepath.Join(ud, campaign.JournalFile), v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			v1Bytes += int64(len(v1))
 		}
 	}
 	if v2Bytes >= v1Bytes {
 		t.Errorf("v2 unit journals not smaller: %d vs %d bytes", v2Bytes, v1Bytes)
 	}
+	if repV1 := mergedReport(t, dirV1); !bytes.Equal(repV1, repV2) {
+		t.Fatalf("v1 and v2 sweeps produced different reports:\n--- v1 ---\n%s\n--- v2 ---\n%s", repV1, repV2)
+	}
 
-	// Mixed formats within one sweep: convert shard 0's unit journals of
-	// the v1 sweep to v2 in place; the merge must not notice.
+	// Mixed formats within one sweep: convert shard 0's v1 unit journals
+	// to v2 in place; the merge must not notice.
 	for _, u := range swV1.Shards()[0].Units {
 		ud := UnitDir(filepath.Join(dirV1, ShardDirName(0)), u.ID)
-		if _, err := campaign.ConvertJournal(ud, campaign.FormatV2, 0); err != nil {
+		if _, err := campaign.ConvertJournal(ud); err != nil {
 			t.Fatalf("converting unit %s: %v", u.ID, err)
 		}
 	}
-	if mixed := mergedReport(t, dirV1); !bytes.Equal(mixed, repV1) {
+	if mixed := mergedReport(t, dirV1); !bytes.Equal(mixed, repV2) {
 		t.Fatal("mixed-format sweep merged to different report bytes")
 	}
 }

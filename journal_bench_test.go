@@ -1,12 +1,16 @@
-// Benchmarks of the campaign journal's two on-disk encodings: append
-// throughput (the per-observation durability cost a campaign pays) and
-// replay throughput (the recovery/merge cost). v1 is one fsynced JSONL
-// frame per record; v2 is chunked delta-encoded columns with one fsync
-// per 64-record chunk — the group-commit amortization is the point, so
-// both append benchmarks run with Sync on, as campaigns do.
+// Benchmarks of the campaign journal: append throughput (the
+// per-observation durability cost a campaign pays) and replay
+// throughput (the recovery/merge cost). Journals are written as
+// chunked delta-encoded columns with one fsync per 64-record chunk —
+// the group-commit amortization is the point, so the append benchmark
+// runs with every seal fsynced, as campaigns do. Replay is measured for
+// both on-disk encodings, since finished v1 JSONL journals still load.
 package scibench_test
 
 import (
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,9 +44,10 @@ func benchEvent(i int) bench.Event {
 	}
 }
 
-func benchmarkJournalAppend(b *testing.B, format campaign.Format) {
+// BenchmarkJournalAppendV2 is the chunked group-commit append path.
+func BenchmarkJournalAppendV2(b *testing.B) {
 	dir := b.TempDir()
-	j, err := campaign.CreateJournal(dir, benchManifest(b), campaign.JournalOptions{Format: format})
+	j, err := campaign.Create(dir, benchManifest(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,26 +68,43 @@ func benchmarkJournalAppend(b *testing.B, format campaign.Format) {
 	}
 }
 
-// BenchmarkJournalAppendV1 is the per-record fsync baseline.
-func BenchmarkJournalAppendV1(b *testing.B) {
-	benchmarkJournalAppend(b, campaign.FormatJSONL)
+const replayRecords = 4096
+
+func benchmarkJournalReplay(b *testing.B, data []byte) {
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := campaign.Replay(data)
+		if len(st.Records) != replayRecords || st.Torn {
+			b.Fatalf("replay: %d records, torn=%v", len(st.Records), st.Torn)
+		}
+	}
 }
 
-// BenchmarkJournalAppendV2 is the chunked group-commit path; the gate
-// requires it ≥5× the v1 throughput.
-func BenchmarkJournalAppendV2(b *testing.B) {
-	benchmarkJournalAppend(b, campaign.FormatV2)
+// BenchmarkJournalReplayV1 replays a 4096-record v1 JSONL journal,
+// built by a test-only encoder of the read-only layout (one
+// CRC32-framed JSON record per line).
+func BenchmarkJournalReplayV1(b *testing.B) {
+	var data []byte
+	for i := 0; i < replayRecords; i++ {
+		rb, err := json.Marshal(campaign.Record{Seq: i + 1, Event: benchEvent(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		data = fmt.Appendf(data, "{\"crc\":%d,\"rec\":%s}\n", crc32.ChecksumIEEE(rb), rb)
+	}
+	benchmarkJournalReplay(b, data)
 }
 
-func benchmarkJournalReplay(b *testing.B, format campaign.Format) {
-	const records = 4096
+// BenchmarkJournalReplayV2 replays the same stream as chunked binary.
+func BenchmarkJournalReplayV2(b *testing.B) {
 	dir := b.TempDir()
-	j, err := campaign.CreateJournal(dir, benchManifest(b), campaign.JournalOptions{Format: format})
+	j, err := campaign.Create(dir, benchManifest(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	j.Sync = false // build the fixture fast; replay reads, never syncs
-	for i := 0; i < records; i++ {
+	for i := 0; i < replayRecords; i++ {
 		if err := j.Record(benchEvent(i)); err != nil {
 			b.Fatal(err)
 		}
@@ -94,23 +116,5 @@ func benchmarkJournalReplay(b *testing.B, format campaign.Format) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := campaign.Replay(data)
-		if len(st.Records) != records || st.Torn {
-			b.Fatalf("replay: %d records, torn=%v", len(st.Records), st.Torn)
-		}
-	}
-}
-
-// BenchmarkJournalReplayV1 replays a 4096-record JSONL journal.
-func BenchmarkJournalReplayV1(b *testing.B) {
-	benchmarkJournalReplay(b, campaign.FormatJSONL)
-}
-
-// BenchmarkJournalReplayV2 replays the same stream as chunked binary.
-func BenchmarkJournalReplayV2(b *testing.B) {
-	benchmarkJournalReplay(b, campaign.FormatV2)
+	benchmarkJournalReplay(b, data)
 }

@@ -745,7 +745,7 @@ func WriteRulesReport(w io.Writer, findings []Finding) error {
 }
 
 // Durable, interruptible campaigns (package campaign): a write-ahead
-// sample journal with per-record checksums, a manifest binding the
+// sample journal with per-chunk checksums, a manifest binding the
 // journal to its exact setup (Rule 9), and crash/cancel recovery that
 // resumes a deterministic campaign bit-for-bit.
 type (
@@ -763,24 +763,12 @@ type (
 	// CampaignResumeOptions tunes resume for the measure source; the
 	// zero value is right for deterministic (seeded simulated) sources.
 	CampaignResumeOptions = campaign.ResumeOptions
-	// CampaignJournalFormat selects the journal's on-disk encoding: v1
-	// JSONL (one CRC-framed JSON line per event, fsynced per record) or
-	// the v2 chunked binary format (delta-encoded columns, CRC per
-	// chunk, group fsync). Readers sniff the format; the choice never
-	// enters the campaign identity.
-	CampaignJournalFormat = campaign.Format
-	// CampaignJournalOptions selects the journal format and chunk width
-	// for a new campaign; the zero value keeps the v1 default.
+	// CampaignJournalOptions tunes the journal's group-commit width; the
+	// zero value is the default.
 	CampaignJournalOptions = campaign.JournalOptions
 	// CampaignConvertInfo is ConvertCampaignJournal's accounting: what
 	// was converted and the before/after sizes.
 	CampaignConvertInfo = campaign.ConvertInfo
-)
-
-// Journal format selectors (see CampaignJournalFormat).
-const (
-	JournalFormatJSONL = campaign.FormatJSONL
-	JournalFormatV2    = campaign.FormatV2
 )
 
 // NewCampaignManifest builds the Rule 9 manifest for a journaled
@@ -790,35 +778,28 @@ func NewCampaignManifest(name string, seed uint64, config any, sched *FaultSched
 	return campaign.NewManifest(name, seed, config, sched, env)
 }
 
-// RunCampaign executes a fully journaled campaign in dir: every
-// collection event is durable before the next observation runs, so an
-// interruption at any point leaves a resumable journal.
+// RunCampaign executes a fully journaled campaign in dir: collection
+// events are made durable chunk by chunk, so an interruption at any
+// point leaves a resumable journal (a crash costs at most the unsealed
+// chunk, which resume re-measures).
 func RunCampaign(ctx context.Context, dir string, m CampaignManifest, plan Plan, measure func() (float64, error)) (Result, error) {
 	return campaign.Run(ctx, dir, m, plan, measure)
 }
 
-// RunCampaignOpts is RunCampaign with explicit journal options —
-// notably JournalFormatV2 for the chunked binary journal. The report
-// is byte-identical across formats; only the journal's encoding and
-// durability batching change.
+// RunCampaignOpts is RunCampaign with explicit journal options. The
+// report is byte-identical for any group-commit width; only the
+// journal's durability batching changes.
 func RunCampaignOpts(ctx context.Context, dir string, m CampaignManifest, plan Plan,
 	measure func() (float64, error), opt CampaignJournalOptions) (Result, error) {
 	return campaign.RunOpts(ctx, dir, m, plan, measure, opt)
 }
 
-// ParseJournalFormat parses a -journal-format flag value: "" or "v1"
-// or "jsonl" → JournalFormatJSONL; "v2" or "binary" → JournalFormatV2.
-func ParseJournalFormat(s string) (CampaignJournalFormat, error) {
-	return campaign.ParseFormat(s)
-}
-
-// ConvertCampaignJournal rewrites a completed (non-torn) campaign's
-// journal in the other format, atomically and with a record-for-record
-// re-replay verification. The campaign stays resumable afterwards:
-// format is storage, not identity. flushEvery ≤ 0 picks the default
-// v2 chunk width.
-func ConvertCampaignJournal(dir string, to CampaignJournalFormat, flushEvery int) (CampaignConvertInfo, error) {
-	return campaign.ConvertJournal(dir, to, flushEvery)
+// ConvertCampaignJournal upgrades a (non-torn) campaign's v1 JSONL
+// journal to v2, atomically and with a record-for-record re-replay
+// verification, so the campaign can resume. A v2 journal is left
+// untouched.
+func ConvertCampaignJournal(dir string) (CampaignConvertInfo, error) {
+	return campaign.ConvertJournal(dir)
 }
 
 // ResumeCampaign continues an interrupted journaled campaign: it
@@ -855,6 +836,9 @@ var (
 	ErrCampaignExists = campaign.ErrCampaignExists
 	// ErrNoCampaign reports a resume/load on a directory without one.
 	ErrNoCampaign = campaign.ErrNoCampaign
+	// ErrJournalV1 reports a resume of a v1 JSONL journal, which is
+	// read-only: ConvertCampaignJournal it to v2 first.
+	ErrJournalV1 = campaign.ErrJournalV1
 	// ErrRecorder wraps a journal write failure that aborted collection.
 	ErrRecorder = bench.ErrRecorder
 )
