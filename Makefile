@@ -128,8 +128,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x $(BENCH_PKGS)
 
 # The harness benchmarks the committed baseline tracks (suite engine,
-# bootstrap, analysis fast path, collective scaling at P=1k/64k/1M).
-HARNESS_BENCH = BenchmarkSuiteRun|BenchmarkBootstrapCI|BenchmarkAnalyze|BenchmarkSampleReset|BenchmarkSummarize$$|BenchmarkMedianCI|BenchmarkCollective|BenchmarkJournal|BenchmarkServe|BenchmarkHistogramRecord
+# bootstrap, analysis fast path, collective scaling at P=1k/64k/1M,
+# machine construction).
+HARNESS_BENCH = BenchmarkSuiteRun|BenchmarkBootstrapCI|BenchmarkAnalyze|BenchmarkSampleReset|BenchmarkSummarize$$|BenchmarkMedianCI|BenchmarkCollective|BenchmarkJournal|BenchmarkServe|BenchmarkHistogramRecord|BenchmarkMachineNew
 BENCH_COUNT ?= 5
 
 # bench-json records the harness benchmarks as a schema v2 sample set
@@ -152,11 +153,13 @@ benchgate:
 
 # scalecheck is the million-rank smoke: the 2^20-rank summary-mode
 # Allreduce must complete as a single sweep with allocations independent
-# of P, and the batch/worker-invariance goldens must hold. No race
-# detector — at this scale it would multiply memory and run time without
-# adding coverage beyond the dedicated race pass in `check`.
+# of P, and the batch/worker-invariance goldens must hold. Machine
+# construction must cost the same at any node count and match its full
+# per-node reference draw for draw. No race detector — at this scale it
+# would multiply memory and run time without adding coverage beyond the
+# dedicated race pass in `check`.
 scalecheck:
-	$(GO) test -run 'TestMillionRankSummarySmoke|TestSummaryAllocsFlat|TestCollectiveBatchWorkerInvariance' \
+	$(GO) test -run 'TestMillionRankSummarySmoke|TestSummaryAllocsFlat|TestCollectiveBatchWorkerInvariance|TestNewMatchesReference|TestNewAllocsIndependentOfNodes' \
 		-count=1 ./internal/cluster
 	$(GO) test -run '^$$' -bench 'BenchmarkCollective.*/p=1048576' -benchtime 1x -benchmem .
 

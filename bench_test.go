@@ -236,6 +236,24 @@ func BenchmarkClusterPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineNew measures machine construction on Piz Daint at the
+// rank counts of an mpibench sweep. Only the rank-hosting nodes are
+// built, so the cost tracks the rank count, not the preset's 5,272
+// nodes (pinned by TestNewAllocsIndependentOfNodes).
+func BenchmarkMachineNew(b *testing.B) {
+	for _, ranks := range []int{2, 4, 8, 16, 32} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			cfg := scibench.PizDaint()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := scibench.NewCluster(cfg, ranks, uint64(i)+1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Collective scaling benchmarks (million-rank engine) ---------------
 
 // benchCollective sweeps one collective across three orders of magnitude

@@ -62,6 +62,11 @@ func cmdCampaign(args []string) error {
 	if *shards > 0 {
 		return runShardedCampaign(*dir, *cc, *units, *shards, *hbTimeout)
 	}
+	// Refuse an existing campaign before writing config.json: that file
+	// is the recorded setup its resume rebuilds the measurement from.
+	if _, err := os.Stat(filepath.Join(*dir, campaign.ManifestFile)); err == nil {
+		return fmt.Errorf("%w: %s (continue it with scibench resume)", scibench.ErrCampaignExists, *dir)
+	}
 	if err := writeCampaignConfig(*dir, *cc); err != nil {
 		return err
 	}

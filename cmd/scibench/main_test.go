@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -399,5 +400,38 @@ func TestCampaignRefusesExistingDir(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "already holds a campaign") {
 		t.Errorf("unexpected refusal message:\n%s", out)
+	}
+}
+
+// TestCampaignRefusalKeepsConfig: a differently-flagged second campaign
+// in a directory that already holds one is refused before it touches
+// the recorded config.json, so the first campaign still resumes.
+func TestCampaignRefusalKeepsConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives real processes")
+	}
+	camp := filepath.Join(t.TempDir(), "camp")
+	first := append([]string{"campaign", "-budget", "300ms"}, campaignArgs(camp)...)
+	if out, err := exec.Command(binPath, first...).CombinedOutput(); exitCode(t, err) != 3 {
+		t.Fatalf("first campaign should be interrupted by its budget (exit 3): %v\n%s", err, out)
+	}
+	cfgPath := filepath.Join(camp, "config.json")
+	before, err := os.ReadFile(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(binPath, "campaign", "-dir", camp, "-samples", "40").CombinedOutput()
+	if exitCode(t, err) == 0 {
+		t.Fatalf("second campaign in the same directory must fail:\n%s", out)
+	}
+	after, err := os.ReadFile(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused campaign rewrote config.json:\nbefore %s\nafter  %s", before, after)
+	}
+	if out, err := exec.Command(binPath, "resume", camp).CombinedOutput(); err != nil {
+		t.Fatalf("first campaign no longer resumes: %v\n%s", err, out)
 	}
 }

@@ -8,6 +8,11 @@
 // dissemination barrier) plus the delay-window time synchronization of
 // §4.2.1. All randomness flows from one seeded PCG stream, so every
 // experiment reproduces bit-for-bit.
+//
+// Building a machine costs O(ranks), not O(nodes): New materializes
+// per-node state only for the nodes that host a rank, while still
+// consuming every other node's draws, so a 2-rank machine on a
+// 5,272-node preset reads the same stream positions as a full build.
 package cluster
 
 import (
@@ -82,7 +87,10 @@ type Config struct {
 
 	// Node heterogeneity: per-node speed factors are drawn log-normally
 	// with sigma NodeSigma (0 = homogeneous), and the first DaemonNodes
-	// nodes host a periodic OS-jitter daemon with a random phase.
+	// nodes host a periodic OS-jitter daemon with a random phase. Only
+	// the nodes that host a rank are materialized; the draws of the
+	// other nodes are still consumed, in node order, so the stream
+	// position after construction does not depend on the rank count.
 	NodeSigma    float64
 	DaemonNodes  int
 	DaemonPeriod time.Duration
@@ -200,20 +208,37 @@ func New(cfg Config, ranks int, seed uint64) (*Machine, error) {
 		seed: seed,
 	}
 
-	// Per-node characteristics.
-	speeds := make([]float64, cfg.Nodes)
-	daemons := make([]noise.Model, cfg.Nodes)
-	for n := 0; n < cfg.Nodes; n++ {
+	// Per-node characteristics, materialized only for the nodes that
+	// host a rank. Both placements fill a prefix of the nodes. The
+	// remaining nodes' draws are still made, in the same order, and
+	// discarded, so the stream — and every clock and message draw after
+	// it — sits exactly where a build of every node would leave it.
+	used := min(ranks, cfg.Nodes)
+	if cfg.Placement != Scattered {
+		used = (ranks + cfg.CoresPerNode - 1) / cfg.CoresPerNode
+	}
+	hasDaemons := cfg.DaemonPeriod > 0 && cfg.DaemonWindow > 0
+	speeds := make([]float64, used)
+	daemons := make([]noise.Model, used)
+	for n := 0; n < used; n++ {
 		speeds[n] = 1.0
 		if cfg.NodeSigma > 0 {
 			speeds[n] = math.Exp(cfg.NodeSigma * m.rng.NormFloat64())
 		}
-		if n < cfg.DaemonNodes && cfg.DaemonPeriod > 0 && cfg.DaemonWindow > 0 {
+		if n < cfg.DaemonNodes && hasDaemons {
 			daemons[n] = noise.Periodic{
 				Period: cfg.DaemonPeriod,
 				Window: cfg.DaemonWindow,
 				Phase:  time.Duration(m.rng.Int64N(int64(cfg.DaemonPeriod))),
 			}
+		}
+	}
+	for n := used; n < cfg.Nodes; n++ {
+		if cfg.NodeSigma > 0 {
+			m.rng.NormFloat64()
+		}
+		if n < cfg.DaemonNodes && hasDaemons {
+			m.rng.Int64N(int64(cfg.DaemonPeriod))
 		}
 	}
 

@@ -172,6 +172,9 @@ func TestTelemetryPreservesCampaignBitIdentity(t *testing.T) {
 func TestTelemetrySmoke(t *testing.T) {
 	telemetry.Enable(nil)
 	defer telemetry.Disable()
+	// The occupancy bound below is about this test's own 2-worker sweep;
+	// earlier tests run wider pools into the same process-wide histogram.
+	telemetry.ResetHistogram(telemetry.Default().Histogram("suite.occupancy"))
 
 	// Generate activity through every instrumented layer: a sweep
 	// (suite → bench → cluster) and a journaled campaign (fsync path).
