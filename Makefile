@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: all build test vet race check bench bench-smoke bench-json benchgate \
 	coverage coverage-check figures telemetry-smoke durability journalcheck \
 	shardcheck remotecheck scalecheck loadcheck fuzzcheck profile-cluster \
-	perfbench-check
+	perfbench-check fmtcheck
 
 all: check
 
@@ -15,6 +15,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck fails when any Go file in the tree (perfbench included) is
+# not gofmt-clean, printing the offenders.
+fmtcheck:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -66,14 +71,17 @@ remotecheck:
 # loadcheck drives the open-loop service workload's guarantees: arrival
 # and simulation determinism, the service-draw order-independence the
 # bit-identity contract rests on, the coordinated-omission golden test
-# against its analytic M/D/1 value, and the sweep's worker-count
-# byte-identity at both the library and CLI (merged.json) layers.
+# against its analytic M/D/1 value, per-epoch allocations independent of
+# the request count, the sweep's worker-count byte-identity at both the
+# library and CLI (merged.json) layers, and the sweep bytes pinned
+# across commits.
 loadcheck:
-	$(GO) test -run 'TestSchedule|TestRunDeterministic|TestServiceDrawIsPerRequest|TestCoordinatedOmission|TestOmissionRatio' \
+	$(GO) test -run 'TestSchedule|TestRunDeterministic|TestServiceDrawIsPerRequest|TestCoordinatedOmission|TestOmissionRatio|TestRunAllocsIndependentOfArrivals' \
 		-count=1 ./internal/serve
 	$(GO) test -run 'TestRunServeWorkerInvariance|TestRunServeKneeDetection|TestQuantileCIHist' \
 		-count=1 ./internal/suite ./internal/ci
 	$(GO) test -run 'TestServeMergedJSONWorkerInvariance' -count=1 ./cmd/scibench
+	$(GO) test -run 'TestServeSweepJSONGolden' -count=1 .
 
 # Every fuzz target in the repo with its package, one per line:
 # "<package-dir> <FuzzTarget>". CI's fuzz matrix and the local fuzzcheck
@@ -113,7 +121,7 @@ fuzzcheck:
 # line numbers for pure-Go failures), then the race pass and the
 # telemetry + durability + distributed-execution + load-generation
 # drives.
-check: vet test race telemetry-smoke durability journalcheck shardcheck remotecheck loadcheck
+check: fmtcheck vet test race telemetry-smoke durability journalcheck shardcheck remotecheck loadcheck
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

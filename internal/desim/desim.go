@@ -1,9 +1,9 @@
 // Package desim is a minimal deterministic discrete-event simulation
 // engine: an event queue ordered by simulated time with stable FIFO
-// tie-breaking, on which the cluster package builds its simulated
-// parallel machine. Determinism matters because the repository's
-// experiments must reproduce bit-for-bit under a fixed seed (Rule 9
-// applied to ourselves).
+// tie-breaking, on which the serve package simulates its servers and
+// the HPL workload model schedules its panels. Determinism matters
+// because the repository's experiments must reproduce bit-for-bit under
+// a fixed seed (Rule 9 applied to ourselves).
 //
 // The queue is a calendar queue (Brown 1988): events hash into time
 // buckets of adaptive width, insertion is O(1) amortized, and dequeue
@@ -15,7 +15,8 @@
 package desim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -32,6 +33,9 @@ type event struct {
 const (
 	minBuckets   = 64
 	defaultWidth = int64(time.Microsecond)
+	// bucketRoom is how many events each bucket of a fresh calendar holds
+	// before its first append allocates.
+	bucketRoom = 4
 )
 
 // Engine is a single-threaded discrete-event simulator. The zero value
@@ -55,7 +59,10 @@ type Engine struct {
 // Now returns the current simulated time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Steps returns the number of events processed so far.
+// Steps returns the number of events processed so far. Only events the
+// engine fires count: work a caller runs itself between AdvanceTo calls
+// is invisible here. No package outside desim reads it; it exists for
+// the engine's own tests.
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of queued events.
@@ -89,7 +96,8 @@ func (e *Engine) Run() time.Duration {
 }
 
 // RunUntil processes events with timestamps <= deadline, leaving later
-// events queued, and advances the clock to min(deadline, drain time).
+// events queued, and returns the clock, which stays at the timestamp of
+// the last event fired (it is not moved on to the deadline).
 func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	for e.size > 0 {
 		if !e.stepBatch(deadline) {
@@ -99,8 +107,32 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	return e.now
 }
 
+// AdvanceTo processes every event with a timestamp strictly before t,
+// then sets the clock to t (if t is later). Events at exactly t stay
+// queued, so work the caller does at t runs before them — exactly as if
+// it were an event inserted ahead of every other event at t. This lets
+// a caller feed an in-order external event stream (open-loop arrivals)
+// past the calendar without queueing it.
+func (e *Engine) AdvanceTo(t time.Duration) {
+	for e.size > 0 {
+		if !e.stepBatch(t - 1) {
+			break
+		}
+	}
+	if t > e.now {
+		e.now = t
+	}
+}
+
 func (e *Engine) init() {
+	// Carve every bucket from one backing array: a calendar holding a few
+	// events at a time then allocates twice in all, not once for every
+	// bucket the events happen to hash into.
+	room := make([]event, minBuckets*bucketRoom)
 	e.buckets = make([][]event, minBuckets)
+	for i := range e.buckets {
+		e.buckets[i] = room[i*bucketRoom : i*bucketRoom : (i+1)*bucketRoom]
+	}
 	e.width = defaultWidth
 	e.curDay = int64(e.now) / e.width
 }
@@ -112,7 +144,14 @@ func (e *Engine) insert(ev event) {
 	if e.size >= 2*len(e.buckets) {
 		e.resize(2 * len(e.buckets))
 	}
-	idx := (int64(ev.at) / e.width) & int64(len(e.buckets)-1)
+	day := int64(ev.at) / e.width
+	if day < e.curDay {
+		// A stopped RunUntil/AdvanceTo leaves the cursor on the day of
+		// the first event it did not fire; an event scheduled afterwards
+		// may be earlier, and must not land behind the cursor.
+		e.curDay = day
+	}
+	idx := day & int64(len(e.buckets)-1)
 	e.buckets[idx] = append(e.buckets[idx], ev)
 	e.size++
 }
@@ -225,7 +264,9 @@ func (e *Engine) stepBatch(deadline time.Duration) bool {
 		e.size -= len(e.batch)
 		// Bucket order is insertion order except after a resize, which
 		// may interleave; restore the FIFO contract explicitly.
-		sort.Slice(e.batch, func(i, j int) bool { return e.batch[i].seq < e.batch[j].seq })
+		if len(e.batch) > 1 {
+			slices.SortFunc(e.batch, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
+		}
 		for i := range e.batch {
 			e.steps++
 			e.batch[i].fn(e)

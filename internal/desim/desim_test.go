@@ -1,6 +1,7 @@
 package desim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -119,5 +120,48 @@ func TestDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at %d", i)
 		}
+	}
+}
+
+func TestScheduleAfterRunUntil(t *testing.T) {
+	// RunUntil stops at an event beyond its deadline; an event scheduled
+	// afterwards at an earlier time must still fire first.
+	var e Engine
+	var fired []time.Duration
+	rec := func(en *Engine) { fired = append(fired, en.Now()) }
+	e.At(time.Millisecond, rec)
+	e.At(100*time.Millisecond, rec)
+	e.RunUntil(50 * time.Millisecond)
+	e.At(60*time.Millisecond, rec)
+	e.Run()
+	want := []time.Duration{time.Millisecond, 60 * time.Millisecond, 100 * time.Millisecond}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+}
+
+func TestAdvanceTo(t *testing.T) {
+	// AdvanceTo fires events strictly before t, leaves events at t
+	// queued, and moves the clock to t; work done at t then precedes
+	// the queued events at t.
+	var e Engine
+	var order []string
+	e.At(5*time.Microsecond, func(*Engine) { order = append(order, "a@5") })
+	e.At(10*time.Microsecond, func(*Engine) { order = append(order, "b@10") })
+	e.At(20*time.Microsecond, func(*Engine) { order = append(order, "c@20") })
+	e.AdvanceTo(10 * time.Microsecond)
+	if e.Now() != 10*time.Microsecond || e.Pending() != 2 || e.Steps() != 1 {
+		t.Fatalf("after AdvanceTo(10µs): now %v pending %d steps %d", e.Now(), e.Pending(), e.Steps())
+	}
+	order = append(order, "x@10")
+	e.After(3*time.Microsecond, func(*Engine) { order = append(order, "d@13") })
+	e.AdvanceTo(7 * time.Microsecond) // earlier than now: the clock stays
+	if e.Now() != 10*time.Microsecond {
+		t.Fatalf("AdvanceTo into the past moved the clock to %v", e.Now())
+	}
+	e.Run()
+	want := []string{"a@5", "x@10", "b@10", "d@13", "c@20"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 }

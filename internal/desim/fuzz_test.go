@@ -81,6 +81,15 @@ func (e *refEngine) RunUntil(deadline time.Duration) time.Duration {
 	return e.now
 }
 
+// AdvanceTo mirrors Engine.AdvanceTo: fire everything strictly before
+// t, then move the clock to t.
+func (e *refEngine) AdvanceTo(t time.Duration) {
+	e.RunUntil(t - 1)
+	if t > e.now {
+		e.now = t
+	}
+}
+
 // fuzzOp is one decoded scheduling instruction. The fuzz input is a
 // byte string decoded 5 bytes at a time: [kind, t0, t1, cascadeDelay,
 // cascadeCount]. kind selects At vs After and whether the handler
@@ -110,9 +119,38 @@ func decodeOps(data []byte) []fuzzOp {
 	return ops
 }
 
+// cut is where a differential run pauses: after the first wave of
+// events is scheduled, the engine runs RunUntil(at) or AdvanceTo(at),
+// the same schedule is queued again as a second wave (now relative to
+// the paused clock, so some of it lands before events still pending),
+// and Run drains everything. The zero cut is a plain Run.
+type cut struct {
+	kind cutKind
+	at   time.Duration
+}
+
+type cutKind int
+
+const (
+	noCut cutKind = iota
+	cutRunUntil
+	cutAdvanceTo
+)
+
+func (c cut) String() string {
+	switch c.kind {
+	case cutRunUntil:
+		return fmt.Sprintf("RunUntil(%v)", c.at)
+	case cutAdvanceTo:
+		return fmt.Sprintf("AdvanceTo(%v)", c.at)
+	}
+	return "Run"
+}
+
 // runCalendar executes the decoded schedule on the calendar-queue
-// engine, recording the (time, id) trace of every fired event.
-func runCalendar(ops []fuzzOp, deadline time.Duration) (trace []string, now time.Duration, pending int, steps uint64) {
+// engine, recording the (time, id) trace of every fired event and the
+// engine state at the cut.
+func runCalendar(ops []fuzzOp, c cut) (trace []string, now time.Duration, steps uint64) {
 	e := new(Engine)
 	id := 0
 	var mk func(op fuzzOp, depth int) Handler
@@ -128,23 +166,31 @@ func runCalendar(ops []fuzzOp, deadline time.Duration) (trace []string, now time
 			}
 		}
 	}
-	for _, op := range ops {
-		if op.after {
-			e.After(op.at, mk(op, 0))
-		} else {
-			e.At(op.at, mk(op, 0))
+	schedule := func() {
+		for _, op := range ops {
+			if op.after {
+				e.After(op.at, mk(op, 0))
+			} else {
+				e.At(op.at, mk(op, 0))
+			}
 		}
 	}
-	if deadline >= 0 {
-		now = e.RunUntil(deadline)
-	} else {
-		now = e.Run()
+	schedule()
+	if c.kind != noCut {
+		if c.kind == cutRunUntil {
+			e.RunUntil(c.at)
+		} else {
+			e.AdvanceTo(c.at)
+		}
+		trace = append(trace, fmt.Sprintf("cut: now %d pending %d steps %d", e.Now(), e.Pending(), e.Steps()))
+		schedule()
 	}
-	return trace, now, e.Pending(), e.Steps()
+	now = e.Run()
+	return trace, now, e.Steps()
 }
 
 // runHeap executes the identical schedule on the reference heap engine.
-func runHeap(ops []fuzzOp, deadline time.Duration) (trace []string, now time.Duration, pending int, steps uint64) {
+func runHeap(ops []fuzzOp, c cut) (trace []string, now time.Duration, steps uint64) {
 	e := new(refEngine)
 	id := 0
 	var mk func(op fuzzOp, depth int) func(*refEngine)
@@ -160,49 +206,58 @@ func runHeap(ops []fuzzOp, deadline time.Duration) (trace []string, now time.Dur
 			}
 		}
 	}
-	for _, op := range ops {
-		if op.after {
-			e.After(op.at, mk(op, 0))
-		} else {
-			e.At(op.at, mk(op, 0))
+	schedule := func() {
+		for _, op := range ops {
+			if op.after {
+				e.After(op.at, mk(op, 0))
+			} else {
+				e.At(op.at, mk(op, 0))
+			}
 		}
 	}
-	if deadline >= 0 {
-		now = e.RunUntil(deadline)
-	} else {
-		now = e.Run()
+	schedule()
+	if c.kind != noCut {
+		if c.kind == cutRunUntil {
+			e.RunUntil(c.at)
+		} else {
+			e.AdvanceTo(c.at)
+		}
+		trace = append(trace, fmt.Sprintf("cut: now %d pending %d steps %d", e.now, len(e.queue), e.steps))
+		schedule()
 	}
-	return trace, now, len(e.queue), e.steps
+	now = e.Run()
+	return trace, now, e.steps
 }
 
-func diffEngines(t *testing.T, data []byte, deadline time.Duration) {
+func diffEngines(t *testing.T, data []byte, c cut) {
 	t.Helper()
 	ops := decodeOps(data)
-	ct, cn, cp, cs := runCalendar(ops, deadline)
-	ht, hn, hp, hs := runHeap(ops, deadline)
-	if len(ct) != len(ht) {
-		t.Fatalf("deadline %v: calendar fired %d events, heap fired %d", deadline, len(ct), len(ht))
-	}
+	ct, cn, cs := runCalendar(ops, c)
+	ht, hn, hs := runHeap(ops, c)
 	for i := range ct {
+		if i >= len(ht) {
+			break
+		}
 		if ct[i] != ht[i] {
-			t.Fatalf("deadline %v: trace diverges at %d: calendar %q, heap %q", deadline, i, ct[i], ht[i])
+			t.Fatalf("%v: trace diverges at %d: calendar %q, heap %q", c, i, ct[i], ht[i])
 		}
 	}
-	if cn != hn {
-		t.Fatalf("deadline %v: final time: calendar %v, heap %v", deadline, cn, hn)
+	if len(ct) != len(ht) {
+		t.Fatalf("%v: calendar traced %d entries, heap %d", c, len(ct), len(ht))
 	}
-	if cp != hp {
-		t.Fatalf("deadline %v: pending: calendar %d, heap %d", deadline, cp, hp)
+	if cn != hn {
+		t.Fatalf("%v: final time: calendar %v, heap %v", c, cn, hn)
 	}
 	if cs != hs {
-		t.Fatalf("deadline %v: steps: calendar %d, heap %d", deadline, cs, hs)
+		t.Fatalf("%v: steps: calendar %d, heap %d", c, cs, hs)
 	}
 }
 
 // FuzzEventOrder differentially fuzzes the calendar-queue engine
 // against the reference binary heap: same schedule, same trace, same
-// final clock, same pending count — for full runs and for RunUntil at
-// an input-derived deadline.
+// final clock, same step count — for full runs, and for runs cut by
+// RunUntil or AdvanceTo at an input-derived time and then given a
+// second wave of events before draining.
 func FuzzEventOrder(f *testing.F) {
 	// Seed corpus: empty, single event, heavy timestamp collisions,
 	// cascades at same instant, wide spread triggering resize, and a
@@ -220,14 +275,16 @@ func FuzzEventOrder(f *testing.F) {
 		return b
 	}())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		diffEngines(t, data, -1)
-		// Also check partial execution: deadline derived from input so
-		// the cut point varies.
+		diffEngines(t, data, cut{})
+		// Also check partial execution followed by more scheduling: the
+		// cut point is derived from the input so it varies.
 		var dl time.Duration
 		for _, b := range data {
 			dl = dl*3 + time.Duration(b)
 		}
-		diffEngines(t, data, (dl%4096)*time.Microsecond)
+		at := (dl % 4096) * time.Microsecond
+		diffEngines(t, data, cut{cutRunUntil, at})
+		diffEngines(t, data, cut{cutAdvanceTo, at})
 	})
 }
 
@@ -248,7 +305,9 @@ func TestEngineMatchesHeapReference(t *testing.T) {
 		for i := range data {
 			data[i] = next()
 		}
-		diffEngines(t, data, -1)
-		diffEngines(t, data, time.Duration(trial)*257*time.Microsecond)
+		at := time.Duration(trial) * 257 * time.Microsecond
+		diffEngines(t, data, cut{})
+		diffEngines(t, data, cut{cutRunUntil, at})
+		diffEngines(t, data, cut{cutAdvanceTo, at})
 	}
 }

@@ -160,6 +160,14 @@ type request struct {
 	arrival time.Duration
 }
 
+// batchSlot carries one in-flight batch. Its request buffer and its
+// completion handler are allocated once and reused by every batch the
+// slot carries, so dispatch allocates nothing in steady state.
+type batchSlot struct {
+	reqs []request
+	done desim.Handler
+}
+
 // sim is the per-epoch simulation state driven by the desim engine.
 type sim struct {
 	eng  desim.Engine
@@ -170,6 +178,7 @@ type sim struct {
 	queue []request // FIFO; queue[head:] is the live window
 	head  int
 	idle  int
+	free  []*batchSlot // slots not carrying a batch
 
 	hist      *stats.LogHistogram
 	completed int
@@ -180,6 +189,7 @@ type sim struct {
 
 	wakePending bool
 	wakeTime    time.Duration
+	wakeFn      desim.Handler // s.onWake, bound once per Run
 
 	// Closed-loop issue state.
 	duration time.Duration
@@ -223,6 +233,11 @@ func (s *sim) arrive(idx int) {
 		telDropped.Inc()
 		return
 	}
+	if len(s.queue) == cap(s.queue) && s.head > 0 {
+		// Full: slide the live window to the front rather than regrow.
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
+	}
 	s.queue = append(s.queue, request{idx: idx, arrival: s.eng.Now()})
 	s.tryDispatch()
 }
@@ -236,12 +251,29 @@ func (s *sim) wake(at time.Duration) {
 	}
 	s.wakePending = true
 	s.wakeTime = at
-	s.eng.At(at, func(*desim.Engine) {
-		if s.wakeTime == at {
-			s.wakePending = false
-		}
-		s.tryDispatch()
-	})
+	s.eng.At(at, s.wakeFn)
+}
+
+// onWake is the wake event's handler. A wake always fires at the time
+// it was scheduled for (it is never in the past), so the clock tells
+// which wake this is.
+func (s *sim) onWake(e *desim.Engine) {
+	if s.wakeTime == e.Now() {
+		s.wakePending = false
+	}
+	s.tryDispatch()
+}
+
+// slot takes a free batch slot, making one if none is free.
+func (s *sim) slot() *batchSlot {
+	if n := len(s.free); n > 0 {
+		b := s.free[n-1]
+		s.free = s.free[:n-1]
+		return b
+	}
+	b := &batchSlot{reqs: make([]request, 0, s.cfg.BatchMax)}
+	b.done = func(*desim.Engine) { s.complete(b) }
+	return b
 }
 
 // tryDispatch hands queued requests to idle servers under the batching
@@ -266,7 +298,8 @@ func (s *sim) tryDispatch() {
 			return
 		}
 
-		batch := append([]request(nil), s.queue[s.head:s.head+k]...)
+		b := s.slot()
+		b.reqs = append(b.reqs[:0], s.queue[s.head:s.head+k]...)
 		s.head += k
 		if s.head == len(s.queue) {
 			s.queue = s.queue[:0]
@@ -281,22 +314,24 @@ func (s *sim) tryDispatch() {
 		// shape — cost is the slowest member) plus a linear per-item
 		// overhead.
 		var dur time.Duration
-		for _, r := range batch {
+		for _, r := range b.reqs {
 			if d := s.serviceDraw(r.idx); d > dur {
 				dur = d
 			}
 		}
 		dur += s.cfg.Service.PerItem * time.Duration(k-1)
-		s.eng.After(dur, func(*desim.Engine) { s.complete(batch) })
+		s.eng.After(dur, b.done)
 	}
 }
 
 // complete records a finished batch and, closed-loop, lets each freed
-// client issue its next request.
-func (s *sim) complete(batch []request) {
+// client issue its next request. The slot goes back on the free stack
+// only after its requests are read: a closed-loop arrival inside the
+// loop may dispatch a new batch, which must take another slot.
+func (s *sim) complete(b *batchSlot) {
 	now := s.eng.Now()
 	s.idle++
-	for _, r := range batch {
+	for _, r := range b.reqs {
 		lat := now - r.arrival
 		if lat > s.maxLat {
 			s.maxLat = lat
@@ -310,6 +345,7 @@ func (s *sim) complete(batch []request) {
 			s.arrive(idx)
 		}
 	}
+	s.free = append(s.free, b)
 	s.tryDispatch()
 }
 
@@ -351,18 +387,22 @@ func Run(o Options) (Result, error) {
 		duration: o.Duration,
 		maxReqs:  maxReqs,
 	}
+	s.wakeFn = s.onWake
 
+	// Arrivals never enter the calendar: each one is handed to arrive
+	// directly once every event strictly before it has fired. Events at
+	// the arrival's own instant fire after it, the order an arrival
+	// queued ahead of all other events would have had (DESIGN.md §9).
 	offered := 0
 	switch o.Mode {
 	case OpenLoop:
-		schedule, err := o.Arrival.Schedule(o.Duration, maxReqs, o.Seed)
+		err := o.Arrival.each(o.Duration, maxReqs, o.Seed, func(at time.Duration) {
+			s.eng.AdvanceTo(at)
+			s.arrive(offered)
+			offered++
+		})
 		if err != nil {
 			return Result{}, err
-		}
-		offered = len(schedule)
-		for i, at := range schedule {
-			idx := i
-			s.eng.At(at, func(*desim.Engine) { s.arrive(idx) })
 		}
 	case ClosedLoop:
 		// Validate the arrival config anyway: open and closed runs of
@@ -377,7 +417,7 @@ func Run(o Options) (Result, error) {
 		for c := 0; c < clients && s.issued < maxReqs; c++ {
 			idx := s.issued
 			s.issued++
-			s.eng.At(0, func(*desim.Engine) { s.arrive(idx) })
+			s.arrive(idx)
 		}
 	}
 

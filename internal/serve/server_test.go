@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func TestRunDeterministic(t *testing.T) {
@@ -183,12 +185,14 @@ func TestServiceDrawIsPerRequest(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	base := Options{Arrival: ArrivalConfig{Rate: 100}, Duration: time.Second}
 	for name, mutate := range map[string]func(*Options){
-		"zero duration":  func(o *Options) { o.Duration = 0 },
-		"bad mode":       func(o *Options) { o.Mode = "half-open" },
-		"bad arrivals":   func(o *Options) { o.Arrival.Rate = -1 },
-		"neg servers":    func(o *Options) { o.Server.Servers = -1 },
-		"neg service":    func(o *Options) { o.Server.Service.Mean = -time.Second },
-		"stall overlap":  func(o *Options) { o.Server.Stalls = []Stall{{At: time.Second, Dur: time.Second}, {At: 0, Dur: time.Second}} },
+		"zero duration": func(o *Options) { o.Duration = 0 },
+		"bad mode":      func(o *Options) { o.Mode = "half-open" },
+		"bad arrivals":  func(o *Options) { o.Arrival.Rate = -1 },
+		"neg servers":   func(o *Options) { o.Server.Servers = -1 },
+		"neg service":   func(o *Options) { o.Server.Service.Mean = -time.Second },
+		"stall overlap": func(o *Options) {
+			o.Server.Stalls = []Stall{{At: time.Second, Dur: time.Second}, {At: 0, Dur: time.Second}}
+		},
 		"zero-dur stall": func(o *Options) { o.Server.Stalls = []Stall{{At: 0, Dur: 0}} },
 	} {
 		o := base
@@ -233,5 +237,44 @@ func TestHistReuse(t *testing.T) {
 	}
 	if math.IsNaN(third.Hist.Quantile(0.5)) {
 		t.Fatalf("reused histogram empty after run")
+	}
+}
+
+func TestRunAllocsIndependentOfArrivals(t *testing.T) {
+	// Arrivals stream past the calendar and batches reuse their slots,
+	// so an epoch's allocations do not grow with its request count: a
+	// 40× busier open-loop epoch allocates exactly as much. The queue
+	// is bounded and the stall fills it at either rate, so both runs
+	// grow it to the same size.
+	allocs := func(rate float64) float64 {
+		o := Options{
+			Arrival: ArrivalConfig{Rate: rate},
+			Server: ServerConfig{
+				Servers:    2,
+				QueueCap:   64,
+				BatchMax:   4,
+				BatchDelay: time.Millisecond,
+				Service:    ServiceConfig{Mean: time.Millisecond, Sigma: 0.5, PerItem: 100 * time.Microsecond},
+				Stalls:     []Stall{{At: 500 * time.Millisecond, Dur: 300 * time.Millisecond}},
+			},
+			Duration: time.Second,
+			Seed:     5,
+			Hist:     &stats.LogHistogram{},
+		}
+		var res Result
+		n := testing.AllocsPerRun(5, func() {
+			var err error
+			if res, err = Run(o); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if res.Batches == 0 || res.Dropped == 0 {
+			t.Fatalf("rate %g: run does not batch and fill the queue: %+v", rate, res)
+		}
+		return n
+	}
+	low, high := allocs(500), allocs(20000)
+	if low != high {
+		t.Errorf("allocations per Run: %v at 500 req/s, %v at 20000 req/s; want equal", low, high)
 	}
 }
