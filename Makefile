@@ -46,7 +46,6 @@ durability:
 journalcheck:
 	$(GO) test -run 'TestJournal|TestOpenJournal|TestConvertJournal|TestRunResumeBitIdenticalAcrossFormats|TestReplay' \
 		-count=1 ./internal/campaign
-	$(GO) test -run 'TestBinaryTrace|TestTracerBinarySink' -count=1 ./internal/telemetry
 	$(GO) test -run 'TestCampaignWritesV2Journal|TestCampaignV2SIGKILLResumeByteIdentity|TestShardedCampaignV2ByteIdentity|TestV1CampaignFixtureCompat' \
 		-count=1 ./cmd/scibench
 
@@ -61,11 +60,12 @@ shardcheck:
 
 # remotecheck drives the cross-machine transport: two loopback workers
 # under injected loss/delay/duplication, a mid-shard partition forcing a
-# fenced reassignment with resume-from-shipped-journal, and the CLI
-# worker-loss campaign — every merged report byte-identical to its
-# single-process reference.
+# fenced reassignment with resume-from-shipped-journal, a ship pass cut
+# after each file (the mirror never holds a journal without its
+# manifest), and the CLI worker-loss campaign — every merged report
+# byte-identical to its single-process reference.
 remotecheck:
-	$(GO) test -run 'TestLoopbackTwoWorkersFaultyByteIdentity|TestPartitionReassignmentByteIdentity|TestAllWorkersUnreachableDegrades|TestZombieFencing' -count=1 ./internal/remote
+	$(GO) test -run 'TestLoopbackTwoWorkersFaultyByteIdentity|TestPartitionReassignmentByteIdentity|TestAllWorkersUnreachableDegrades|TestZombieFencing|TestShipPassManifestBeforeJournal' -count=1 ./internal/remote
 	$(GO) test -run 'TestRemoteCampaignWorkerLossByteIdentity' -count=1 ./cmd/scibench
 
 # loadcheck drives the open-loop service workload's guarantees: arrival

@@ -22,15 +22,16 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/regress"
 )
 
@@ -140,20 +141,11 @@ func updateBaseline(baselinePath string, candidate *regress.Report) error {
 		EnvFingerprint: regress.EnvFingerprint(candidate.Env),
 		Tool:           "benchgate -update-baseline",
 	}
-	dir := filepath.Dir(baselinePath)
-	tmp, err := os.CreateTemp(dir, filepath.Base(baselinePath)+".tmp*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := candidate.WriteJSON(&buf); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := candidate.WriteJSON(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), baselinePath); err != nil {
+	if err := campaign.PublishFile(baselinePath, buf.Bytes()); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "benchgate: baseline %s updated (%d benchmarks, commit %s)\n",

@@ -27,11 +27,11 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/regress"
 )
 
@@ -125,21 +125,12 @@ func gitCommit() string {
 	return strings.TrimSpace(string(out))
 }
 
-// writeAtomic writes via a temp file + rename so a crashed run never
-// leaves a torn baseline.
+// writeAtomic publishes the report with campaign.PublishFile so a
+// crashed run never leaves a torn baseline.
 func writeAtomic(path string, rep *regress.Report) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := rep.WriteJSON(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return campaign.PublishFile(path, buf.Bytes())
 }

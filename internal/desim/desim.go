@@ -5,20 +5,15 @@
 // because the repository's experiments must reproduce bit-for-bit under
 // a fixed seed (Rule 9 applied to ourselves).
 //
-// The queue is a calendar queue (Brown 1988): events hash into time
-// buckets of adaptive width, insertion is O(1) amortized, and dequeue
-// harvests whole same-timestamp batches from the current bucket instead
-// of sifting a binary heap once per event. The observable order is
-// exactly the heap order — ascending (time, insertion seq) — which the
-// differential fuzz target (FuzzEventOrder) pins against a reference
-// heap implementation.
+// The queue is a binary min-heap on (time, insertion seq), O(log n) per
+// event. Its callers keep n tiny: serve feeds open-loop arrivals past it
+// with AdvanceTo, so it holds only in-flight completions and dispatch
+// wakes (one to three events in every preset), and HPL queues one event
+// per Run. The differential fuzz target (FuzzEventOrder) pins the order
+// against a container/heap reference.
 package desim
 
-import (
-	"cmp"
-	"slices"
-	"time"
-)
+import "time"
 
 // Handler is an event callback, invoked with the engine so it can
 // schedule follow-up events.
@@ -30,13 +25,13 @@ type event struct {
 	fn  Handler
 }
 
-const (
-	minBuckets   = 64
-	defaultWidth = int64(time.Microsecond)
-	// bucketRoom is how many events each bucket of a fresh calendar holds
-	// before its first append allocates.
-	bucketRoom = 4
-)
+// before reports whether a fires ahead of b.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
 
 // Engine is a single-threaded discrete-event simulator. The zero value
 // is ready to use at simulated time zero.
@@ -44,16 +39,7 @@ type Engine struct {
 	now   time.Duration
 	seq   uint64
 	steps uint64
-
-	// Calendar queue state. Events live in buckets[day&(len-1)] where
-	// day = at/width; curDay is the dequeue cursor (every queued event
-	// has day >= curDay after a harvest).
-	buckets [][]event
-	width   int64 // bucket width in nanoseconds
-	curDay  int64
-	size    int
-
-	batch []event // same-timestamp harvest scratch, reused across steps
+	queue []event // binary min-heap: queue[0] is the next event to fire
 }
 
 // Now returns the current simulated time.
@@ -66,7 +52,7 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.size }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules fn to run at absolute simulated time at. Events scheduled
 // in the past run at the current time (time never goes backwards).
@@ -75,7 +61,8 @@ func (e *Engine) At(at time.Duration, fn Handler) {
 		at = e.now
 	}
 	e.seq++
-	e.insert(event{at: at, seq: e.seq, fn: fn})
+	e.queue = append(e.queue, event{at: at, seq: e.seq, fn: fn})
+	e.up(len(e.queue) - 1)
 }
 
 // After schedules fn to run d after the current simulated time.
@@ -89,8 +76,8 @@ func (e *Engine) After(d time.Duration, fn Handler) {
 // Run processes events until the queue drains, returning the final
 // simulated time.
 func (e *Engine) Run() time.Duration {
-	for e.size > 0 {
-		e.stepBatch(1<<62 - 1)
+	for len(e.queue) > 0 {
+		e.step()
 	}
 	return e.now
 }
@@ -99,10 +86,8 @@ func (e *Engine) Run() time.Duration {
 // events queued, and returns the clock, which stays at the timestamp of
 // the last event fired (it is not moved on to the deadline).
 func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
-	for e.size > 0 {
-		if !e.stepBatch(deadline) {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+		e.step()
 	}
 	return e.now
 }
@@ -112,168 +97,63 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 // queued, so work the caller does at t runs before them — exactly as if
 // it were an event inserted ahead of every other event at t. This lets
 // a caller feed an in-order external event stream (open-loop arrivals)
-// past the calendar without queueing it.
+// past the queue without queueing it.
 func (e *Engine) AdvanceTo(t time.Duration) {
-	for e.size > 0 {
-		if !e.stepBatch(t - 1) {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at < t {
+		e.step()
 	}
 	if t > e.now {
 		e.now = t
 	}
 }
 
-func (e *Engine) init() {
-	// Carve every bucket from one backing array: a calendar holding a few
-	// events at a time then allocates twice in all, not once for every
-	// bucket the events happen to hash into.
-	room := make([]event, minBuckets*bucketRoom)
-	e.buckets = make([][]event, minBuckets)
-	for i := range e.buckets {
-		e.buckets[i] = room[i*bucketRoom : i*bucketRoom : (i+1)*bucketRoom]
+// step pops the earliest event, moves the clock to it and runs it.
+func (e *Engine) step() {
+	ev := e.queue[0]
+	last := len(e.queue) - 1
+	e.queue[0] = e.queue[last]
+	e.queue[last] = event{} // drop the handler so it can be collected
+	e.queue = e.queue[:last]
+	if last > 0 {
+		e.down(0)
 	}
-	e.width = defaultWidth
-	e.curDay = int64(e.now) / e.width
+	e.now = ev.at
+	e.steps++
+	ev.fn(e)
 }
 
-func (e *Engine) insert(ev event) {
-	if e.buckets == nil {
-		e.init()
+// up sifts queue[i] toward the root until its parent fires first.
+func (e *Engine) up(i int) {
+	q := e.queue
+	ev := q[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	if e.size >= 2*len(e.buckets) {
-		e.resize(2 * len(e.buckets))
-	}
-	day := int64(ev.at) / e.width
-	if day < e.curDay {
-		// A stopped RunUntil/AdvanceTo leaves the cursor on the day of
-		// the first event it did not fire; an event scheduled afterwards
-		// may be earlier, and must not land behind the cursor.
-		e.curDay = day
-	}
-	idx := day & int64(len(e.buckets)-1)
-	e.buckets[idx] = append(e.buckets[idx], ev)
-	e.size++
+	q[i] = ev
 }
 
-// resize rebuilds the calendar with n buckets and a width matched to the
-// current event spread, so the average bucket holds O(1) events of the
-// current "day". All decisions are pure functions of the queue contents,
-// keeping replay deterministic.
-func (e *Engine) resize(n int) {
-	var all []event
-	for _, b := range e.buckets {
-		all = append(all, b...)
-	}
-	// Width estimate: spread of pending timestamps divided by count, so
-	// one day holds roughly one event.
-	minAt, maxAt := int64(1<<62-1), int64(0)
-	for _, ev := range all {
-		if int64(ev.at) < minAt {
-			minAt = int64(ev.at)
-		}
-		if int64(ev.at) > maxAt {
-			maxAt = int64(ev.at)
-		}
-	}
-	w := defaultWidth
-	if len(all) > 1 && maxAt > minAt {
-		w = (maxAt - minAt) / int64(len(all))
-		if w < 1 {
-			w = 1
-		}
-	}
-	e.buckets = make([][]event, n)
-	e.width = w
-	e.curDay = int64(e.now) / w
-	if len(all) > 0 && minAt/w < e.curDay {
-		// Guard: never strand an event behind the cursor (cannot happen
-		// with monotonic now, but cheap to make structurally impossible).
-		e.curDay = minAt / w
-	}
-	mask := int64(n - 1)
-	for _, ev := range all {
-		idx := (int64(ev.at) / e.width) & mask
-		e.buckets[idx] = append(e.buckets[idx], ev)
-	}
-}
-
-// findDay advances the cursor to the day holding the earliest queued
-// event and returns that event's timestamp. It scans forward bucket by
-// bucket; after a fruitless full revolution (all events more than one
-// calendar year away) it jumps straight to the global minimum.
-func (e *Engine) findDay() time.Duration {
-	n := int64(len(e.buckets))
-	mask := n - 1
-	for scanned := int64(0); scanned < n; scanned++ {
-		var best time.Duration = -1
-		for _, ev := range e.buckets[e.curDay&mask] {
-			if int64(ev.at)/e.width == e.curDay && (best < 0 || ev.at < best) {
-				best = ev.at
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-		e.curDay++
-	}
-	// Long jump: find the global minimum directly.
-	var best time.Duration = -1
-	for _, b := range e.buckets {
-		for _, ev := range b {
-			if best < 0 || ev.at < best {
-				best = ev.at
-			}
-		}
-	}
-	e.curDay = int64(best) / e.width
-	return best
-}
-
-// stepBatch harvests every event sharing the earliest timestamp <=
-// deadline and runs them in insertion order — one sweep per simulated
-// instant rather than one heap pop per event. Handlers that schedule
-// more work at the same instant extend the batch (still in seq order),
-// exactly matching reference heap semantics. Returns false if the
-// earliest event lies beyond the deadline.
-func (e *Engine) stepBatch(deadline time.Duration) bool {
-	at := e.findDay()
-	if at > deadline {
-		return false
-	}
-	e.now = at
-	mask := int64(len(e.buckets) - 1)
+// down sifts queue[i] toward the leaves until both children fire after it.
+func (e *Engine) down(i int) {
+	q := e.queue
+	ev := q[i]
 	for {
-		// Harvest all events at `at` from the current-day bucket. The
-		// bucket is re-fetched each pass: handlers may have inserted (and
-		// possibly resized) during the previous pass.
-		b := e.buckets[e.curDay&mask]
-		e.batch = e.batch[:0]
-		kept := b[:0]
-		for _, ev := range b {
-			if ev.at == at {
-				e.batch = append(e.batch, ev)
-			} else {
-				kept = append(kept, ev)
-			}
+		child := 2*i + 1
+		if child >= len(q) {
+			break
 		}
-		if len(e.batch) == 0 {
-			return true
+		if r := child + 1; r < len(q) && q[r].before(&q[child]) {
+			child = r
 		}
-		e.buckets[e.curDay&mask] = kept
-		e.size -= len(e.batch)
-		// Bucket order is insertion order except after a resize, which
-		// may interleave; restore the FIFO contract explicitly.
-		if len(e.batch) > 1 {
-			slices.SortFunc(e.batch, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
+		if !q[child].before(&ev) {
+			break
 		}
-		for i := range e.batch {
-			e.steps++
-			e.batch[i].fn(e)
-		}
-		if e.size < len(e.buckets)/4 && len(e.buckets) > minBuckets {
-			e.resize(len(e.buckets) / 2)
-			mask = int64(len(e.buckets) - 1)
-		}
+		q[i] = q[child]
+		i = child
 	}
+	q[i] = ev
 }

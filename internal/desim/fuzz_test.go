@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// refEngine is the pre-calendar-queue binary-heap implementation, kept
-// verbatim as the ordering oracle for differential fuzzing. Its
-// observable contract — events fire in ascending (at, seq) order, past
-// schedules clamp to now — is what the calendar queue must reproduce.
+// refEngine is a container/heap implementation kept as the ordering
+// oracle for differential fuzzing. Its observable contract — events fire
+// in ascending (at, seq) order, past schedules clamp to now — is what
+// Engine's hand-rolled heap must reproduce.
 type refEngine struct {
 	now   time.Duration
 	seq   uint64
@@ -147,10 +147,9 @@ func (c cut) String() string {
 	return "Run"
 }
 
-// runCalendar executes the decoded schedule on the calendar-queue
-// engine, recording the (time, id) trace of every fired event and the
-// engine state at the cut.
-func runCalendar(ops []fuzzOp, c cut) (trace []string, now time.Duration, steps uint64) {
+// runEngine executes the decoded schedule on Engine, recording the
+// (time, id) trace of every fired event and the engine state at the cut.
+func runEngine(ops []fuzzOp, c cut) (trace []string, now time.Duration, steps uint64) {
 	e := new(Engine)
 	id := 0
 	var mk func(op fuzzOp, depth int) Handler
@@ -189,8 +188,8 @@ func runCalendar(ops []fuzzOp, c cut) (trace []string, now time.Duration, steps 
 	return trace, now, e.Steps()
 }
 
-// runHeap executes the identical schedule on the reference heap engine.
-func runHeap(ops []fuzzOp, c cut) (trace []string, now time.Duration, steps uint64) {
+// runReference executes the identical schedule on refEngine.
+func runReference(ops []fuzzOp, c cut) (trace []string, now time.Duration, steps uint64) {
 	e := new(refEngine)
 	id := 0
 	var mk func(op fuzzOp, depth int) func(*refEngine)
@@ -232,35 +231,35 @@ func runHeap(ops []fuzzOp, c cut) (trace []string, now time.Duration, steps uint
 func diffEngines(t *testing.T, data []byte, c cut) {
 	t.Helper()
 	ops := decodeOps(data)
-	ct, cn, cs := runCalendar(ops, c)
-	ht, hn, hs := runHeap(ops, c)
-	for i := range ct {
-		if i >= len(ht) {
+	et, en, es := runEngine(ops, c)
+	rt, rn, rs := runReference(ops, c)
+	for i := range et {
+		if i >= len(rt) {
 			break
 		}
-		if ct[i] != ht[i] {
-			t.Fatalf("%v: trace diverges at %d: calendar %q, heap %q", c, i, ct[i], ht[i])
+		if et[i] != rt[i] {
+			t.Fatalf("%v: trace diverges at %d: engine %q, reference %q", c, i, et[i], rt[i])
 		}
 	}
-	if len(ct) != len(ht) {
-		t.Fatalf("%v: calendar traced %d entries, heap %d", c, len(ct), len(ht))
+	if len(et) != len(rt) {
+		t.Fatalf("%v: engine traced %d entries, reference %d", c, len(et), len(rt))
 	}
-	if cn != hn {
-		t.Fatalf("%v: final time: calendar %v, heap %v", c, cn, hn)
+	if en != rn {
+		t.Fatalf("%v: final time: engine %v, reference %v", c, en, rn)
 	}
-	if cs != hs {
-		t.Fatalf("%v: steps: calendar %d, heap %d", c, cs, hs)
+	if es != rs {
+		t.Fatalf("%v: steps: engine %d, reference %d", c, es, rs)
 	}
 }
 
-// FuzzEventOrder differentially fuzzes the calendar-queue engine
-// against the reference binary heap: same schedule, same trace, same
-// final clock, same step count — for full runs, and for runs cut by
-// RunUntil or AdvanceTo at an input-derived time and then given a
-// second wave of events before draining.
+// FuzzEventOrder differentially fuzzes Engine against the container/heap
+// reference: same schedule, same trace, same final clock, same step
+// count — for full runs, and for runs cut by RunUntil or AdvanceTo at an
+// input-derived time and then given a second wave of events before
+// draining.
 func FuzzEventOrder(f *testing.F) {
 	// Seed corpus: empty, single event, heavy timestamp collisions,
-	// cascades at same instant, wide spread triggering resize, and a
+	// cascades at same instant, a wide spread of many events, and a
 	// mixed schedule exercising At-in-the-past clamping.
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0})

@@ -12,10 +12,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -341,19 +341,18 @@ func (c *Coordinator) snapshotSeed(shardDir string) ([]FileState, error) {
 		}
 		return nil, err
 	}
-	sort.Slice(units, func(i, j int) bool { return units[i].Name() < units[j].Name() })
+	// ReadDir sorts by name; within a unit the manifest comes first, so
+	// the worker writes the seed in the order CreateJournal would.
 	for _, u := range units {
 		if !u.IsDir() {
 			continue
 		}
-		for f := range shardFiles {
+		for _, f := range shardFiles {
 			if err := add(filepath.Join(shard.UnitsDir, u.Name(), f)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	// Deterministic seed order (map iteration above is not).
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
 
@@ -679,15 +678,12 @@ func postJSON(client *http.Client, url string, req, resp any) error {
 	return json.Unmarshal(body, resp)
 }
 
-// writeJSONFile mirrors the shard package's atomic manifest write.
+// writeJSONFile publishes v as indented JSON, the shard package's file
+// format, with campaign.PublishFile.
 func writeJSONFile(path string, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return campaign.PublishFile(path, append(b, '\n'))
 }

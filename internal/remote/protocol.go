@@ -26,9 +26,11 @@ package remote
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/rules"
 	"repro/internal/shard"
 
@@ -243,13 +245,17 @@ type CancelRequest struct {
 	Attempt   int    `json:"attempt"`
 }
 
-// shardFiles are the per-unit campaign files a worker ships. The
-// heartbeat travels on its own message, and done.json is written only
-// by the coordinator after inventory verification.
-var shardFiles = map[string]bool{
-	"manifest.json": true, // write-once (atomic rename)
-	"journal.jsonl": true, // append-only; may truncate once at resume
-	"result.json":   true, // write-once completion sentinel
+// shardFiles are the per-unit campaign files a worker ships, in the
+// order it ships them. The manifest goes first, the order CreateJournal
+// writes them in: a ship pass cut short must never leave the mirror
+// holding a journal without its manifest, which a reassigned executor
+// would take for no campaign and then fail to create over the existing
+// journal. The heartbeat travels on its own message, and done.json is
+// written only by the coordinator after inventory verification.
+var shardFiles = []string{
+	campaign.ManifestFile, // write-once (atomic rename)
+	campaign.JournalFile,  // append-only; may truncate once at resume
+	shard.UnitResultFile,  // write-once completion sentinel
 }
 
 // ValidChunkPath accepts exactly the relative paths a worker may write
@@ -259,7 +265,7 @@ func ValidChunkPath(p string) bool {
 	if len(parts) != 3 || parts[0] != "units" {
 		return false
 	}
-	return safeID(parts[1]) && shardFiles[parts[2]]
+	return safeID(parts[1]) && slices.Contains(shardFiles, parts[2])
 }
 
 // ValidSeedPath additionally accepts the heartbeat file, which a seed

@@ -757,3 +757,52 @@ func TestRemoteShipmentV2ByteIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestShipPassManifestBeforeJournal cuts a ship pass after each of its
+// files in turn (the link dies there) and checks the mirror never holds
+// a unit journal without its manifest. A reassigned executor seeded from
+// such a mirror finds no campaign, tries to create one, and fails
+// because the journal file already exists.
+func TestShipPassManifestBeforeJournal(t *testing.T) {
+	local := filepath.Join(t.TempDir(), "local")
+	sw := buildSweep(t, local, 2, 1)
+	shardDir := filepath.Join(local, shard.ShardDirName(0))
+	if _, err := shard.ExecShard(context.Background(), shardDir, testRunner{}, shard.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	units := sw.Shards()[0].Units
+	for cutAfter := 1; cutAfter <= 3*len(units); cutAfter++ {
+		mirror := t.TempDir()
+		c := &Coordinator{sweepDir: mirror}
+		var files []string
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			var f ChunkFrame
+			if !readBody(rw, r, &f) {
+				return
+			}
+			if len(files) == 0 || files[len(files)-1] != f.Path {
+				files = append(files, f.Path)
+			}
+			if len(files) > cutAfter {
+				http.Error(rw, "link down", http.StatusServiceUnavailable)
+				return
+			}
+			writeJSONResp(rw, c.applyChunk(f))
+		}))
+		w := &Worker{id: "w000", client: srv.Client(), opt: WorkerOptions{Coordinator: srv.URL}}
+		sh := &shipper{w: w, j: &job{dir: shardDir, attempt: 1}, shipped: map[string]int64{}, floors: map[string]int64{}}
+		if sh.shipPass(context.Background()) {
+			t.Fatal("ship pass fenced")
+		}
+		srv.Close()
+		for _, u := range units {
+			ud := shard.UnitDir(filepath.Join(mirror, shard.ShardDirName(0)), u.ID)
+			_, jerr := os.Stat(filepath.Join(ud, campaign.JournalFile))
+			_, merr := os.Stat(filepath.Join(ud, campaign.ManifestFile))
+			if jerr == nil && merr != nil {
+				t.Fatalf("pass cut after %d files (sent %v): mirror holds %s's journal without its manifest",
+					cutAfter, files, u.ID)
+			}
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -417,8 +416,8 @@ func (w *Worker) journalFloors(j *job) map[string]int64 {
 	return floors
 }
 
-// localFiles lists the shippable files currently in the job dir, in
-// deterministic order.
+// localFiles lists the shippable files currently in the job dir: units
+// in name order, each unit's files in shardFiles order.
 func (w *Worker) localFiles(j *job) []string {
 	var out []string
 	units, err := os.ReadDir(filepath.Join(j.dir, shard.UnitsDir))
@@ -429,14 +428,13 @@ func (w *Worker) localFiles(j *job) []string {
 		if !u.IsDir() {
 			continue
 		}
-		for f := range shardFiles {
+		for _, f := range shardFiles {
 			rel := shard.UnitsDir + "/" + u.Name() + "/" + f
 			if _, err := os.Stat(filepath.Join(j.dir, shard.UnitsDir, u.Name(), f)); err == nil {
 				out = append(out, rel)
 			}
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -1,8 +1,8 @@
 // Package serve implements deterministic open-loop service workloads
 // (ROADMAP item 2): seeded arrival-schedule generators (Poisson,
 // multi-period diurnal, bursty ON/OFF) feeding simulated servers with
-// bounded queues and size/deadline batching on the desim calendar
-// queue, with per-request latencies recorded into the zero-allocation
+// bounded queues and size/deadline batching on the desim event queue,
+// with per-request latencies recorded into the zero-allocation
 // stats.LogHistogram for tail-percentile analysis.
 //
 // The package exists to measure latency the way the paper demands it be

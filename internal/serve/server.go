@@ -389,7 +389,7 @@ func Run(o Options) (Result, error) {
 	}
 	s.wakeFn = s.onWake
 
-	// Arrivals never enter the calendar: each one is handed to arrive
+	// Arrivals never enter the event queue: each one is handed to arrive
 	// directly once every event strictly before it has fired. Events at
 	// the arrival's own instant fire after it, the order an arrival
 	// queued ahead of all other events would have had (DESIGN.md §9).

@@ -241,7 +241,7 @@ func TestHistReuse(t *testing.T) {
 }
 
 func TestRunAllocsIndependentOfArrivals(t *testing.T) {
-	// Arrivals stream past the calendar and batches reuse their slots,
+	// Arrivals stream past the event queue and batches reuse their slots,
 	// so an epoch's allocations do not grow with its request count: a
 	// 40× busier open-loop epoch allocates exactly as much. The queue
 	// is bounded and the stall fills it at either rate, so both runs

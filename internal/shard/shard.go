@@ -278,18 +278,15 @@ func UnitDir(shardDir, id string) string {
 	return filepath.Join(shardDir, UnitsDir, id)
 }
 
-// writeJSON writes v as indented JSON via a temp file + rename, so a
-// crash never publishes a half-written manifest under the final name.
+// writeJSON publishes v as indented JSON with campaign.PublishFile, so
+// a crash leaves the previous file or the new one under the final name,
+// never a torn one.
 func writeJSON(path string, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("shard: encoding %s: %w", filepath.Base(path), err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := campaign.PublishFile(path, append(b, '\n')); err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
 	return nil

@@ -156,6 +156,35 @@ func TestTracerRecordsHierarchy(t *testing.T) {
 	}
 }
 
+// spanList is an in-memory SpanSink.
+type spanList []Span
+
+func (l *spanList) WriteSpan(sp Span) { *l = append(*l, sp) }
+
+// TestTracerSink wires an arbitrary SpanSink through the tracer end to
+// end: every completed span reaches it, children first, parent links
+// intact, and Disable detaches it.
+func TestTracerSink(t *testing.T) {
+	tr := NewTracer()
+	var got spanList
+	tr.EnableSink(&got)
+	root := tr.Start(0, "campaign", "e2e")
+	child := tr.Start(root.ID(), "collection", "cfg-1")
+	child.End()
+	root.End()
+	tr.Disable()
+	tr.Start(0, "after", "").End()
+	if len(got) != 2 {
+		t.Fatalf("sink got %d spans, want 2", len(got))
+	}
+	if got[0].Name != "collection" || got[1].Name != "campaign" {
+		t.Fatalf("span order/names: %+v", got)
+	}
+	if got[0].Parent != got[1].ID {
+		t.Fatal("child span lost its parent link")
+	}
+}
+
 func TestTracerRingWraps(t *testing.T) {
 	tr := NewTracer()
 	tr.Enable(nil)

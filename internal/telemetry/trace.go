@@ -51,8 +51,8 @@ func (s jsonlSink) WriteSpan(sp Span) {
 // Tracer records hierarchical spans. Disabled (the default) it costs one
 // atomic load per instrumentation site and allocates nothing; enabled it
 // appends completed spans to a bounded ring and, when a sink is set,
-// streams each to it (JSON lines via Enable, or any SpanSink — e.g. the
-// chunked binary trace writer — via EnableSink).
+// streams each to it (JSON lines via Enable, or any SpanSink via
+// EnableSink).
 type Tracer struct {
 	enabled atomic.Bool
 	ids     atomic.Uint64
@@ -86,8 +86,8 @@ func (t *Tracer) Enable(sink io.Writer) {
 	t.EnableSink(jsonlSink{w: sink})
 }
 
-// EnableSink arms the tracer with an arbitrary span sink (e.g. a
-// BinaryTraceWriter). Pass nil to keep spans only in the in-memory
+// EnableSink arms the tracer with an arbitrary span sink (e.g. an
+// in-memory collector). Pass nil to keep spans only in the in-memory
 // ring.
 func (t *Tracer) EnableSink(sink SpanSink) {
 	t.mu.Lock()

@@ -1066,13 +1066,6 @@ type (
 	// TraceSpan is one completed interval of harness work (campaign →
 	// sweep → config → collection → analysis).
 	TraceSpan = telemetry.Span
-	// TelemetrySpanSink receives every completed span; implemented by
-	// the JSONL sink and the chunked binary trace writer.
-	TelemetrySpanSink = telemetry.SpanSink
-	// BinaryTraceWriter streams spans as chunked binary (the journal
-	// v2 encoder: per-chunk string table, varint delta columns) —
-	// roughly an order of magnitude smaller than the JSONL trace.
-	BinaryTraceWriter = telemetry.BinaryTraceWriter
 )
 
 // Telemetry returns the process-wide metrics registry the harness
@@ -1084,23 +1077,6 @@ func Telemetry() *TelemetryRegistry { return telemetry.Default() }
 // every completed span as one JSON line (the out-of-band JSONL trace);
 // nil keeps spans only in the in-memory ring served by /trace.
 func EnableTelemetryTrace(sink io.Writer) { telemetry.Enable(sink) }
-
-// EnableTelemetryTraceSink arms span tracing with an arbitrary sink —
-// e.g. a BinaryTraceWriter for the chunked binary trace.
-func EnableTelemetryTraceSink(sink TelemetrySpanSink) { telemetry.EnableSink(sink) }
-
-// NewBinaryTraceWriter returns a binary trace sink streaming chunks to
-// w; the caller owns w and should Flush (or Close) the writer before
-// closing it.
-func NewBinaryTraceWriter(w io.Writer) *BinaryTraceWriter {
-	return telemetry.NewBinaryTraceWriter(w)
-}
-
-// ReadBinaryTrace decodes a binary trace file: the spans of every
-// whole, CRC-verified chunk, and whether a torn tail was dropped.
-func ReadBinaryTrace(data []byte) ([]TraceSpan, bool) {
-	return telemetry.ReadBinaryTrace(data)
-}
 
 // DisableTelemetryTrace stops span collection and detaches the sink.
 func DisableTelemetryTrace() { telemetry.Disable() }
